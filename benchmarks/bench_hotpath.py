@@ -1,12 +1,12 @@
 """E-PERF2: the hot-path overhaul — plan cache, index scans, coalescing.
 
-Three paired series quantify each layer of the PR:
+Six series quantify each layer of the PR:
 
 1/2. The same parse-heavy batch repeated with the plan cache force-off
      vs force-on.  The cached path must be >= 1.3x faster at the median
      (``tools/check_hotpath.py`` gates the artifact in CI).
 3/4. A point SELECT against a populated table with no index vs an
-     equality index (the generalized ``_scan_plan`` path).
+     equality index (the planner's index-selection rule).
 5.   An active insert whose table carries TWO primitive events on the
      same (table, operation): the generated trigger coalesces both
      segments into one datagram, so the agent decodes/locks once.
@@ -16,12 +16,10 @@ Three paired series quantify each layer of the PR:
      is constant across firings and the rule-origin cache hit rate must
      be as healthy as the client-origin one (it languished near 0.45
      when every firing inlined a fresh ``vNo`` literal).
-7-12. Three planner pairs — point select, three-table join, grouped
-     aggregate over 10k rows — each run through the legacy AST walker
-     and the cost-based DAG executor.  The join pair is the headline:
-     greedy join ordering plus hash joins replace the legacy cross
-     product, and ``tools/check_hotpath.py`` gates its p50 speedup at
-     >= PLANNER_RATIO (1.5x).
+
+Join and aggregate latency over larger tables is the perf ledger's
+``sql_scan`` workload (``python3 -m benchmarks.ledger``:
+``client.op.join_p50_us``, ``client.op.agg_p50_us``).
 
 The artifact ``BENCH_hotpath.json`` also records the plan-cache stats
 (with per-origin hit rates), index-scan totals, and coalescing counters
@@ -54,18 +52,6 @@ POINT_SELECT = "select symbol, price, qty from stock where symbol = 'S777'"
 
 TABLE_ROWS = 2000
 
-#: The planner pair's workloads: a point select, a three-table join
-#: (where greedy ordering + hash joins replace the legacy cross
-#: product), and a grouped aggregate over AGG_ROWS rows.
-JOIN_SELECT = (
-    "select s.symbol, q.bid, o.n from stock s, quotes q, orders o "
-    "where s.symbol = q.symbol and q.symbol = o.symbol and s.qty > 2")
-AGG_SELECT = (
-    "select symbol, count(*), sum(qty), avg(price) from stock "
-    "where qty >= 0 group by symbol")
-JOIN_ROWS = (48, 48, 12)  # stock, quotes, orders
-AGG_ROWS = 10_000
-
 
 def _cached_stack(enabled: bool):
     """A direct stack, plan cache forced on/off, stock indexed + seeded."""
@@ -88,48 +74,6 @@ def _scan_stack(indexed: bool):
         for i in range(TABLE_ROWS))
     conn.execute(batch)
     conn.execute(POINT_SELECT)  # build the index outside the timed loop
-    return server, conn
-
-
-def _join_stack(planner: bool):
-    """A direct stack with three unindexed join tables, planner on/off."""
-    server, conn = direct_stack()
-    server.planner_enabled = planner
-    conn.execute(
-        "create table quotes (symbol varchar(10) not null, bid float null)")
-    conn.execute(
-        "create table orders (symbol varchar(10) not null, n int null)")
-    stock_rows, quote_rows, order_rows = JOIN_ROWS
-    conn.execute("\n".join(
-        f"insert stock values ('S{i % 16}', {i}.0, {i % 7})"
-        for i in range(stock_rows)))
-    conn.execute("\n".join(
-        f"insert quotes values ('S{i % 16}', {i}.25)"
-        for i in range(quote_rows)))
-    conn.execute("\n".join(
-        f"insert orders values ('S{i % 16}', {i})"
-        for i in range(order_rows)))
-    conn.execute(JOIN_SELECT)  # warm: parse + (when on) the one plan miss
-    return server, conn
-
-
-def _agg_stack(planner: bool):
-    """A direct stack with AGG_ROWS stock rows, planner on/off."""
-    server, conn = direct_stack()
-    server.planner_enabled = planner
-    for start in range(0, AGG_ROWS, 1000):
-        conn.execute("\n".join(
-            f"insert stock values ('S{i % 23}', {i % 89}.0, {i % 11})"
-            for i in range(start, start + 1000)))
-    conn.execute(AGG_SELECT)
-    return server, conn
-
-
-def _point_stack(planner: bool):
-    """The unindexed point-select stack with the planner on/off."""
-    server, conn = _scan_stack(indexed=False)
-    server.planner_enabled = planner
-    conn.execute(POINT_SELECT)
     return server, conn
 
 
@@ -178,12 +122,6 @@ def test_hotpath_series(benchmark):
     server_idx, conn_idx = _scan_stack(indexed=True)
     server_act, agent, conn_act = _coalesced_stack()
     server_rule, agent_rule, conn_rule = _rule_firing_stack()
-    _server_pt_legacy, conn_pt_legacy = _point_stack(planner=False)
-    _server_pt_plan, conn_pt_plan = _point_stack(planner=True)
-    _server_join_legacy, conn_join_legacy = _join_stack(planner=False)
-    server_join_plan, conn_join_plan = _join_stack(planner=True)
-    _server_agg_legacy, conn_agg_legacy = _agg_stack(planner=False)
-    _server_agg_plan, conn_agg_plan = _agg_stack(planner=True)
 
     conn_on.execute(HOT_BATCH)  # warm: the one unavoidable miss
     _fire_rule(conn_rule)  # warm: the refresh/proc batches' first miss
@@ -201,28 +139,12 @@ def test_hotpath_series(benchmark):
             conn_act.execute, 200, "insert stock values ('X', 1.0, 1)"),
         "6 composite rule firing, slotted refresh": measure_ms(
             _fire_rule, 100, conn_rule),
-        "7 point select, legacy walker": measure_ms(
-            conn_pt_legacy.execute, 150, POINT_SELECT),
-        "8 point select, planned DAG": measure_ms(
-            conn_pt_plan.execute, 150, POINT_SELECT),
-        "9 three-table join, legacy walker": measure_ms(
-            conn_join_legacy.execute, 40, JOIN_SELECT),
-        "10 three-table join, planned DAG": measure_ms(
-            conn_join_plan.execute, 40, JOIN_SELECT),
-        "11 aggregate 10k rows, legacy walker": measure_ms(
-            conn_agg_legacy.execute, 15, AGG_SELECT),
-        "12 aggregate 10k rows, planned DAG": measure_ms(
-            conn_agg_plan.execute, 15, AGG_SELECT),
     }
 
     off_p50 = summarize(series["1 repeated batch, plan cache off"]).p50
     on_p50 = summarize(series["2 repeated batch, plan cache on"]).p50
     scan_p50 = summarize(series["3 point select, full scan"]).p50
     idx_p50 = summarize(series["4 point select, indexed"]).p50
-    join_legacy_p50 = summarize(
-        series["9 three-table join, legacy walker"]).p50
-    join_plan_p50 = summarize(
-        series["10 three-table join, planned DAG"]).p50
 
     rows = [latency_row(label, samples) for label, samples in series.items()]
     print_series("E-PERF2 hot-path overhaul", rows, LATENCY_HEADERS)
@@ -238,12 +160,6 @@ def test_hotpath_series(benchmark):
     rule_hit_rate = rule_origins.get("rule", {}).get("hit_rate", 0.0)
     print(f"[rule origin] cache hit rate {rule_hit_rate:.3f} "
           f"({rule_origins})")
-    planner_stats = server_join_plan.plan_cache.stats()
-    print(f"[planner]     join legacy p50 {join_legacy_p50:.3f}ms / "
-          f"planned p50 {join_plan_p50:.3f}ms = "
-          f"{join_legacy_p50 / join_plan_p50:.2f}x speedup "
-          f"(plan memo {planner_stats['plan_hits']} hits / "
-          f"{planner_stats['plan_misses']} misses)")
 
     write_bench_json("hotpath", series, extra={
         "plan_cache": {
@@ -263,13 +179,6 @@ def test_hotpath_series(benchmark):
             "events": agent.notifier.coalesced_events,
             "received": agent.notifier.received,
         },
-        "planner": {
-            "join_legacy_p50_ms": round(join_legacy_p50, 4),
-            "join_planned_p50_ms": round(join_plan_p50, 4),
-            "speedup_p50": round(join_legacy_p50 / join_plan_p50, 4),
-            "plan_hits": planner_stats["plan_hits"],
-            "plan_misses": planner_stats["plan_misses"],
-        },
     })
 
     # Sanity (the hard >= 1.3x gate lives in tools/check_hotpath.py,
@@ -282,11 +191,6 @@ def test_hotpath_series(benchmark):
     assert rule_hit_rate > 0.9, rule_origins
     assert idx_p50 < scan_p50
     assert agent.notifier.coalesced_events == 2 * agent.notifier.coalesced_payloads
-    # The cached-plan hit path skips parse AND plan: after the warm-up
-    # miss every timed join execution must hit the plan memo.
-    assert planner_stats["plan_hits"] >= 40, planner_stats
-    assert planner_stats["plan_misses"] <= 2, planner_stats
-    assert join_plan_p50 < join_legacy_p50
     benchmark(lambda: None)
 
 

@@ -6,7 +6,9 @@ the full gateway/agent/LED stack, the reference Snoop interpreter
 polling/embedded oracles — then shrinks any divergence to a minimal
 reproduction and replays it forever from ``tests/difftest/corpus/``.
 A chaos mode layers seeded fault schedules and plan-cache on/off over
-the same scenarios, asserting match-or-fail-loudly.
+the same scenarios, asserting match-or-fail-loudly.  The SQL layer has
+its own oracle: :class:`NaiveExecutor` (:mod:`repro.difftest.sqlref`),
+a nested-loop executor the planned path is diffed against.
 
 The multi-site twin extends the same discipline to the sharded GED:
 seeded 2–4 site scenarios (:func:`generate_multisite_scenario`) run on
@@ -57,6 +59,7 @@ from .shrink import (
     shrink_scenario,
     write_corpus,
 )
+from .sqlref import NaiveExecutor
 
 __all__ = [
     "ChaosReport",
@@ -67,6 +70,7 @@ __all__ = [
     "MultiSiteReference",
     "MultiSiteRun",
     "MultiSiteScenario",
+    "NaiveExecutor",
     "ReferenceDetector",
     "ReferenceError",
     "Scenario",

@@ -3,8 +3,9 @@
 The three executions of a :class:`~repro.difftest.scenario.Scenario`:
 
 1. :func:`run_stack` — the full gateway/agent/LED stack over a live
-   :class:`~repro.sqlengine.SqlServer`, with the plan cache on or off
-   and an optional seeded fault plan;
+   :class:`~repro.sqlengine.SqlServer`, with the plan cache on or off,
+   optionally on the naive SQL oracle (:mod:`repro.difftest.sqlref`),
+   and with an optional seeded fault plan;
 2. :func:`run_reference` — the paper-literal reference interpreter fed
    the primitive-occurrence stream the scenario's triggers notify;
 3. :func:`run_baselines` — a passive shadow replay cross-checked by the
@@ -33,6 +34,7 @@ from repro.ged import ShardedGed
 from repro.sqlengine import SqlServer, connect
 
 from .reference import MultiSiteReference, ReferenceDetector
+from .sqlref import NaiveExecutor
 from .scenario import (
     AUDIT_DDL,
     DATABASE,
@@ -106,12 +108,13 @@ def _read_rows(conn, table: str) -> list[tuple]:
 
 
 def run_stack(scenario: Scenario, *, plan_cache: bool = True,
-              planner: bool = True, faults=None) -> StackRun:
+              sql_reference: bool = False, faults=None) -> StackRun:
     """Execute the scenario on the full gateway/agent/LED stack.
 
-    ``planner`` selects the execution engine axis: the cost-based DAG
-    executor (default) or the legacy AST walker it must be
-    indistinguishable from.  ``faults`` is an optional
+    ``sql_reference`` runs the same stack with the server's executor
+    swapped for :class:`~repro.difftest.sqlref.NaiveExecutor`, the
+    nested-loop oracle the planned path must be indistinguishable
+    from.  ``faults`` is an optional
     :class:`~repro.faults.FaultPlan` (or injector) applied to the
     *statement stream only* — the injector is disarmed while tables and
     rules are created, so every chaos run starts from an identical
@@ -121,7 +124,8 @@ def run_stack(scenario: Scenario, *, plan_cache: bool = True,
     """
     server = SqlServer(default_database=DATABASE)
     server.plan_cache.enabled = bool(plan_cache)
-    server.planner_enabled = bool(planner)
+    if sql_reference:
+        server.executor = NaiveExecutor(server)
     agent = EcaAgent(server, channel="sync", faults=faults)
     run = StackRun()
     try:
@@ -172,8 +176,7 @@ def run_stack(scenario: Scenario, *, plan_cache: bool = True,
 
 def run_interleaved(scenario: Scenario, *, clients: int = 4,
                     workers: int = 4, seed: int = 0,
-                    plan_cache: bool = True,
-                    planner: bool = True) -> StackRun:
+                    plan_cache: bool = True) -> StackRun:
     """Execute the scenario through ``clients`` concurrent gateway
     sessions backed by a ``workers``-thread pool.
 
@@ -190,7 +193,6 @@ def run_interleaved(scenario: Scenario, *, clients: int = 4,
 
     server = SqlServer(default_database=DATABASE)
     server.plan_cache.enabled = bool(plan_cache)
-    server.planner_enabled = bool(planner)
     agent = EcaAgent(server, channel="sync", workers=workers)
     run = StackRun()
     rng = random.Random(seed)

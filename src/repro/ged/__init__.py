@@ -4,22 +4,18 @@
 and use a global event detector (GED) for events and rules across
 application/systems."
 
-This extension implements that plan at laptop scale, in two deployment
-shapes:
-
-- :class:`GlobalEventDetector` — the original single-node GED: one LED
-  whose primitive events are *imported* events from any number of site
-  agents; global composites and rules live centrally.
-- :class:`ShardedGed` — the sharded deployment layer: sites form a
-  consistent-hash ring (:class:`HashRing`), each site's shard hosts the
-  global composite graphs assigned to it, and the router stamps a global
-  sequence so cross-site detection is equivalent to the single-node
-  shape.  Ships with journaled per-site recovery, skew-aware
-  rebalancing, and an in-process ``syb_sendmsg`` datagram transport
-  (:class:`InProcessTransport`).
+This extension implements that plan at laptop scale as one class,
+:class:`ShardedGed`: site agents *import* their primitive events into a
+global scope; the sites form a consistent-hash ring (:class:`HashRing`),
+each site's shard hosts the global composite graphs assigned to it, and
+the router stamps a global sequence so cross-site detection does not
+depend on where a graph lives.  One registered site (or
+``sharded=False``) is the single-node GED: every global composite and
+rule lives in that site's one shard LED.  Ships with journaled per-site
+recovery, skew-aware rebalancing, and an in-process ``syb_sendmsg``
+datagram transport (:class:`InProcessTransport`).
 """
 
-from .global_detector import GlobalEventDetector, GlobalRuleFiring
 from .partitioning import DEFAULT_REPLICAS, HashRing, stable_hash
 from .sharded import (
     GedFiring,
@@ -37,8 +33,6 @@ __all__ = [
     "GedFiring",
     "GedRule",
     "GedShard",
-    "GlobalEventDetector",
-    "GlobalRuleFiring",
     "HashRing",
     "InProcessTransport",
     "JournalEntry",

@@ -1,13 +1,13 @@
 """Sharded multi-site Global Event Detector (paper Section 6, scaled out).
 
-The single-node :class:`~repro.ged.global_detector.GlobalEventDetector`
-centralises every global composite graph in one LED.  This module
-promotes the GED into a *sharded deployment layer*: the participating
-sites form a consistent-hash ring (:mod:`repro.ged.partitioning`) and
-each site's agent hosts a **shard** — an extra LED holding exactly the
-global composite graphs the ring assigns to that site.  Constituents
-that occur at other sites appear in a shard as
-:class:`~repro.led.remote.RemoteEventNode` leaves fed by the router.
+The GED is a *sharded deployment layer* (a one-site deployment is the
+degenerate case: one shard holding every global composite graph in one
+LED): the participating sites form a consistent-hash ring
+(:mod:`repro.ged.partitioning`) and each site's agent hosts a **shard**
+— an extra LED holding exactly the global composite graphs the ring
+assigns to that site.  Constituents that occur at other sites appear in
+a shard as :class:`~repro.led.remote.RemoteEventNode` leaves fed by the
+router.
 
 Data flow for one cross-site composite detection::
 
@@ -478,12 +478,19 @@ class ShardedGed:
                 f"site '{from_site}' sent a datagram for '{name}' "
                 f"homed at '{spec.site}'")
         gseq = next(self._gseq)
+        # With (site, vNo) the home site's snapshot tables let a global
+        # rule's action reach back to the rows behind the occurrence.
+        home = getattr(self.sites[from_site], "primitive_events", {}).get(
+            spec.event_internal.lower())
         occurrence = primitive(name, float(gseq), gseq, {
             "site": from_site,
             "user": notification.user,
             "table": notification.table,
             "operation": notification.operation,
             "vNo": notification.v_no,
+            "snapshot_tables": {} if home is None else {
+                direction: home.snapshot_table(direction)
+                for direction in home.snapshot_directions},
         })
         self.journal.append(JournalEntry(
             gseq=gseq, name=name, site=from_site, occurrence=occurrence))

@@ -3,18 +3,17 @@
 The relational part of a :class:`~repro.sqlengine.planner.SelectPlan`
 (scans, joins, residual filter) executes here as a pull-based pipeline:
 each stage consumes and produces *batches* of bindings (chunks of
-:data:`BATCH_SIZE` row combinations) instead of the legacy walker's
-one-row-at-a-time recursion.  A binding is ``(ordinals, rows)`` — one
-row per FROM source in join order, tagged with each row's enumeration
-ordinal within its scan so the final output can be restored to the
-legacy FROM-order cross-product order no matter how the joins were
+:data:`BATCH_SIZE` row combinations).  A binding is ``(ordinals,
+rows)`` — one row per FROM source in join order, tagged with each
+row's enumeration ordinal within its scan so the final output can be
+put in FROM-order cross-product order no matter how the joins were
 reordered.
 
 Join strategies (resolved at runtime against the live table):
 
-- ``probe`` — PR 4's per-outer-row index bucket lookup, kept whenever
-  the planned index still exists (it preserves ``index_scans``
-  accounting and exact legacy bucket order);
+- ``probe`` — per-outer-row index bucket lookup, used whenever the
+  planned index still exists (one ``index_scans`` count per execution,
+  candidates in bucket order);
 - ``hash`` — build a hash table over the scan's candidates keyed by the
   normalized join value, probe once per outer binding; only used when
   both columns share a comparison type family, which makes the hash
@@ -23,11 +22,13 @@ Join strategies (resolved at runtime against the live table):
   conjunct still checked by the residual filter.
 
 Everything downstream of the binding stream — projection, grouping,
-ORDER BY, DISTINCT, TOP, INTO — reuses the legacy executor code
-verbatim, which is what keeps planned output byte-identical.
+ORDER BY, DISTINCT, TOP, INTO — is :class:`~repro.sqlengine.executor.
+Executor` code consuming :func:`select_bindings` one binding at a time.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .evaluator import evaluate, is_true
 from .table import _index_key
@@ -47,15 +48,15 @@ def _hash_join_key(value):
     return _index_key(value)
 
 
-def _hint_rows(executor, hint, table, env, ctx):
+def _hint_rows(hint, table, env, ctx):
     """Resolve a planned index hint against the *live* table.
 
     Returns ``(rows, kind)`` when the hinted index still exists —
-    IN-list hints reproduce the legacy item-major candidate order (all
-    rows of the first item, then the second, ...), which is observable
-    in unsorted output and therefore part of the contract — or
-    ``(None, None)`` when the hint is absent or stale (the caller falls
-    back to a full heap scan, so a dropped index only costs speed).
+    IN-list hints yield item-major candidate order (all rows of the
+    first item, then the second, ...), which is observable in unsorted
+    output — or ``(None, None)`` when the hint is absent or stale (the
+    caller falls back to a full heap scan, so a dropped index only
+    costs speed).
     """
     if hint is None:
         return None, None
@@ -76,10 +77,9 @@ def _hint_rows(executor, hint, table, env, ctx):
     return rows, hint.kind
 
 
-def select_bindings(executor, plan, sources, tables, env, ctx):
-    """Generator matching ``Executor._iterate_rows``'s contract: bind
-    each surviving row combination into ``sources`` in place (in legacy
-    FROM-order), yielding once per binding."""
+def select_bindings(server, plan, sources, tables, env, ctx):
+    """Bind each surviving row combination into ``sources`` in place
+    (in FROM-order), yielding once per binding."""
     if not sources:
         if not plan.empty and all(
                 is_true(evaluate(c, env, ctx)) for c in plan.residual):
@@ -89,17 +89,16 @@ def select_bindings(executor, plan, sources, tables, env, ctx):
         # Single-scan fast path: no join, no residual — stream the
         # scan's candidates without the batching pipeline (and without
         # the per-row ordinal tags only join reordering needs).
-        server = executor.server
         accounting = server.accounting
         track = accounting is not None and accounting.active()
         step = plan.steps[0]
         source = sources[step.position]
         table = tables[step.position]
-        rows, kind = _hint_rows(executor, step.hint, table, env, ctx)
+        rows, kind = _hint_rows(step.hint, table, env, ctx)
         if rows is None:
             rows = list(table.rows)
         if kind is not None:
-            executor._note_index_scan(kind)
+            server.note_index_scan(kind)
         if track:
             accounting.note_scan(len(rows), 1 if kind else 0,
                                  0 if kind else 1)
@@ -114,7 +113,7 @@ def select_bindings(executor, plan, sources, tables, env, ctx):
         finally:
             source.row = None
         return
-    survivors = _relational(executor, plan, sources, tables, env, ctx)
+    survivors = _relational(server, plan, sources, tables, env, ctx)
     step_sources = [sources[position] for position in plan.order]
     try:
         for _ordinals, rows in survivors:
@@ -126,10 +125,9 @@ def select_bindings(executor, plan, sources, tables, env, ctx):
             source.row = None
 
 
-def _relational(executor, plan, sources, tables, env, ctx) -> list:
+def _relational(server, plan, sources, tables, env, ctx) -> list:
     """Run the scan/join/filter pipeline; returns surviving bindings
-    sorted into legacy FROM-order."""
-    server = executor.server
+    sorted into FROM-order."""
     counts: dict[str, int] = {}
     if plan.empty:
         _flush_counts(server, counts)
@@ -140,12 +138,14 @@ def _relational(executor, plan, sources, tables, env, ctx) -> list:
     stream = iter([[((), ())]])
     bound: list[int] = []
     for step in plan.steps:
-        stream = _apply_step(executor, step, stream, sources, tables,
+        stream = _apply_step(server, step, stream, sources, tables,
                              env, ctx, list(bound), counts, track,
                              accounting)
         bound.append(step.position)
     if plan.residual:
-        stream = _residual_stage(plan, stream, sources, env, ctx, counts)
+        stream = _batched(
+            _residual_stage(plan, stream, sources, env, ctx),
+            counts, "filter")
 
     bindings = [binding for batch in stream for binding in batch]
     if plan.reordered:
@@ -165,7 +165,7 @@ def _flush_counts(server, counts: dict) -> None:
         server.note_plan_ops(counts)
 
 
-def _apply_step(executor, step, upstream, sources, tables, env, ctx,
+def _apply_step(server, step, upstream, sources, tables, env, ctx,
                 bound, counts, track, accounting):
     """One pipeline stage: join the incoming bindings with one scan."""
     table = tables[step.position]
@@ -184,34 +184,43 @@ def _apply_step(executor, step, upstream, sources, tables, env, ctx,
         else:
             strategy = "hash"
     if strategy == "probe":
-        return _probe_stage(executor, step, index, upstream, sources,
-                            tables, env, ctx, bound, counts, track,
-                            accounting)
-    candidates = _scan_candidates(executor, step, sources, table, env,
+        joined = _probe_stage(server, step, index, upstream, sources,
+                              table, env, ctx, bound, counts, track,
+                              accounting)
+        return _batched(joined, counts, "join")
+    candidates = _scan_candidates(server, step, sources, table, env,
                                   ctx, track, accounting, counts)
-    label = "join" if bound else None
     if strategy == "hash":
-        return _hash_stage(step, candidates, upstream, sources, env, ctx,
-                           bound, counts)
-    return _cross_stage(candidates, upstream, counts, label)
+        joined = _hash_stage(step, candidates, upstream, sources, env,
+                             ctx, bound)
+        return _batched(joined, counts, "join")
+    return _batched(_cross_stage(candidates, upstream), counts,
+                    "join" if bound else None)
 
 
-def _scan_candidates(executor, step, sources, table, env, ctx, track,
+def _batched(bindings, counts, label):
+    """Chunk a stage's binding stream into :data:`BATCH_SIZE` lists,
+    charging each chunk's size to ``counts[label]`` (when labeled)."""
+    while True:
+        batch = list(islice(bindings, BATCH_SIZE))
+        if not batch:
+            return
+        if label:
+            counts[label] = counts.get(label, 0) + len(batch)
+        yield batch
+
+
+def _scan_candidates(server, step, sources, table, env, ctx, track,
                      accounting, counts) -> list:
     """The ``(ordinal, row)`` candidates of one scan: index-narrowed
     when the planned hint's index still exists, full heap order
-    otherwise, then filtered by the pushed predicates.
-
-    IN-list hints reproduce the legacy item-major candidate order (all
-    rows of the first item, then the second, ...), which is observable
-    in unsorted output and therefore part of the contract.
-    """
+    otherwise, then filtered by the pushed predicates."""
     source = sources[step.position]
-    rows, kind = _hint_rows(executor, step.hint, table, env, ctx)
+    rows, kind = _hint_rows(step.hint, table, env, ctx)
     if rows is None:
         rows = list(table.rows)
     if kind is not None:
-        executor._note_index_scan(kind)
+        server.note_index_scan(kind)
     if track:
         accounting.note_scan(len(rows), 1 if kind else 0,
                              0 if kind else 1)
@@ -227,26 +236,15 @@ def _scan_candidates(executor, step, sources, table, env, ctx, track,
     return out
 
 
-def _cross_stage(candidates, upstream, counts, label):
+def _cross_stage(candidates, upstream):
     """Nested (cross) join: extend every binding with every candidate."""
-    buffer: list = []
     for batch in upstream:
         for ordinals, rows in batch:
             for ordinal, row in candidates:
-                buffer.append((ordinals + (ordinal,), rows + (row,)))
-                if len(buffer) >= BATCH_SIZE:
-                    if label:
-                        counts[label] = counts.get(label, 0) + len(buffer)
-                    yield buffer
-                    buffer = []
-    if buffer:
-        if label:
-            counts[label] = counts.get(label, 0) + len(buffer)
-        yield buffer
+                yield ordinals + (ordinal,), rows + (row,)
 
 
-def _hash_stage(step, candidates, upstream, sources, env, ctx, bound,
-                counts):
+def _hash_stage(step, candidates, upstream, sources, env, ctx, bound):
     """Hash join: build once over this scan, probe per outer binding."""
     spec = step.join
     source = sources[step.position]
@@ -259,104 +257,65 @@ def _hash_stage(step, candidates, upstream, sources, env, ctx, bound,
     source.row = None
     outer_source = sources[spec.outer_position]
     outer_index = bound.index(spec.outer_position)
-
-    def stage():
-        buffer: list = []
-        for batch in upstream:
-            for ordinals, rows in batch:
-                outer_source.row = rows[outer_index]
-                key = _hash_join_key(evaluate(spec.outer_expr, env, ctx))
-                matches = build.get(key, ()) if key is not None else ()
-                for ordinal, row in matches:
-                    buffer.append((ordinals + (ordinal,), rows + (row,)))
-                    if len(buffer) >= BATCH_SIZE:
-                        counts["join"] = counts.get("join", 0) + len(buffer)
-                        yield buffer
-                        buffer = []
-        if buffer:
-            counts["join"] = counts.get("join", 0) + len(buffer)
-            yield buffer
-
-    return stage()
+    for batch in upstream:
+        for ordinals, rows in batch:
+            outer_source.row = rows[outer_index]
+            key = _hash_join_key(evaluate(spec.outer_expr, env, ctx))
+            matches = build.get(key, ()) if key is not None else ()
+            for ordinal, row in matches:
+                yield ordinals + (ordinal,), rows + (row,)
 
 
-def _probe_stage(executor, step, index, upstream, sources, tables, env,
+def _probe_stage(server, step, index, upstream, sources, table, env,
                  ctx, bound, counts, track, accounting):
-    """Legacy index probe: per outer binding, look up the inner bucket."""
+    """Index probe: per outer binding, look up the inner bucket."""
     spec = step.join
-    table = tables[step.position]
     source = sources[step.position]
     outer_source = sources[spec.outer_position]
     outer_index = bound.index(spec.outer_position)
-    executor._note_index_scan("join")
+    server.note_index_scan("join")
     if track:
         accounting.note_scan(0, 1, 0)
-
-    def stage():
-        buffer: list = []
-        for batch in upstream:
-            for ordinals, rows in batch:
-                outer_source.row = rows[outer_index]
-                value = evaluate(spec.outer_expr, env, ctx)
-                bucket = index.lookup(table, value)
-                if track:
-                    accounting.note_rows(len(bucket))
-                counts["scan"] = counts.get("scan", 0) + len(bucket)
-                for ordinal, row in enumerate(bucket):
-                    if step.pushed:
-                        source.row = row
-                        if not all(is_true(evaluate(c, env, ctx))
-                                   for c in step.pushed):
-                            continue
-                    buffer.append((ordinals + (ordinal,), rows + (row,)))
-                    if len(buffer) >= BATCH_SIZE:
-                        counts["join"] = counts.get("join", 0) + len(buffer)
-                        yield buffer
-                        buffer = []
-        if buffer:
-            counts["join"] = counts.get("join", 0) + len(buffer)
-            yield buffer
-
-    return stage()
-
-
-def _residual_stage(plan, upstream, sources, env, ctx, counts):
-    """Filter bindings by the residual conjuncts (full legacy re-check)."""
-    step_sources = [sources[position] for position in plan.order]
-
-    def stage():
-        buffer: list = []
-        for batch in upstream:
-            for ordinals, rows in batch:
-                for source, row in zip(step_sources, rows):
+    for batch in upstream:
+        for ordinals, rows in batch:
+            outer_source.row = rows[outer_index]
+            value = evaluate(spec.outer_expr, env, ctx)
+            bucket = index.lookup(table, value)
+            if track:
+                accounting.note_rows(len(bucket))
+            counts["scan"] = counts.get("scan", 0) + len(bucket)
+            for ordinal, row in enumerate(bucket):
+                if step.pushed:
                     source.row = row
-                if all(is_true(evaluate(c, env, ctx))
-                       for c in plan.residual):
-                    buffer.append((ordinals, rows))
-                    if len(buffer) >= BATCH_SIZE:
-                        counts["filter"] = (
-                            counts.get("filter", 0) + len(buffer))
-                        yield buffer
-                        buffer = []
-        if buffer:
-            counts["filter"] = counts.get("filter", 0) + len(buffer)
-            yield buffer
-
-    return stage()
+                    if not all(is_true(evaluate(c, env, ctx))
+                               for c in step.pushed):
+                        continue
+                yield ordinals + (ordinal,), rows + (row,)
 
 
-def dml_candidates(executor, plan, source, table, env, ctx):
+def _residual_stage(plan, upstream, sources, env, ctx):
+    """Keep the bindings that satisfy every residual conjunct."""
+    step_sources = [sources[position] for position in plan.order]
+    for batch in upstream:
+        for binding in batch:
+            for source, row in zip(step_sources, binding[1]):
+                source.row = row
+            if all(is_true(evaluate(c, env, ctx)) for c in plan.residual):
+                yield binding
+
+
+def dml_candidates(server, plan, table, env, ctx):
     """Candidate rows for a planned single-table UPDATE/DELETE.
 
     Returns the index-narrowed list when the plan's hint still resolves,
     else the table's *live* row list (identity preserved — the DELETE
     fast path keys on ``candidates is table.rows``).  The caller
-    re-checks the full WHERE per candidate, exactly like the legacy
-    path, so a stale hint can only cost speed.
+    re-checks the full WHERE per candidate, so a stale hint can only
+    cost speed.
     """
-    rows, kind = _hint_rows(executor, plan.hint, table, env, ctx)
+    rows, kind = _hint_rows(plan.hint, table, env, ctx)
     if rows is None:
         return table.rows
-    executor._note_index_scan(kind)
-    executor.server.note_plan_ops({"scan": len(rows)})
+    server.note_index_scan(kind)
+    server.note_plan_ops({"scan": len(rows)})
     return rows

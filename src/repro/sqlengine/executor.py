@@ -2,9 +2,15 @@
 
 One :class:`Executor` per server.  Statements arrive as AST nodes from the
 parser; results accumulate in a :class:`~repro.sqlengine.results.BatchResult`.
-The executor owns the SELECT pipeline (scan -> filter -> group -> project ->
-order), DML with native trigger firing, DDL, stored-procedure invocation,
-control flow, and transaction bracketing.
+The executor owns everything around the binding stream: FROM resolution,
+grouping, projection, ORDER BY/DISTINCT/TOP/INTO, the DML row-apply with
+native trigger firing, DDL, stored-procedure invocation, control flow,
+and transaction bracketing.  Which row combinations a SELECT sees and
+which candidate rows an UPDATE/DELETE visits is decided in exactly one
+place each — :meth:`Executor._select_bindings` and
+:meth:`Executor._dml_candidates` — and both go straight to
+:mod:`~repro.sqlengine.planner` (plan, memoized) and
+:mod:`~repro.sqlengine.dagexec` (run).  There is no other path.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .expressions import (
     ColumnRef,
     Expression,
     FunctionCall,
-    InList,
     Literal,
     Star,
     contains_aggregate,
@@ -237,14 +242,17 @@ class Executor:
     # ------------------------------------------------------------------
     # SELECT pipeline
 
-    def _execute_select(self, statement: SelectStatement,
-                        state: ExecutionState) -> None:
-        result = self._run_select(statement, state)
+    def _execute_query(self, statement, state: ExecutionState) -> None:
+        """Run a SELECT or UNION chain.  With INTO the rows go to the
+        new table (rowcount only); otherwise they are the result set."""
+        result = self._run_select_any(statement, state)
         if statement.into is None:
-            state.result.result_sets.append(result)
-            state.result.rowcount = len(result.rows)
-            state.session.global_vars["@@rowcount"] = len(result.rows)
-        # SELECT INTO reports rowcount but emits no result set.
+            self._emit(result, state)
+
+    def _emit(self, result: ResultSet, state: ExecutionState) -> None:
+        """Append a result set to the batch and report its rowcount."""
+        state.result.result_sets.append(result)
+        self._set_rowcount(state, len(result.rows))
 
     def _run_select_any(self, statement, state: ExecutionState,
                         outer_env: RowEnvironment | None = None) -> ResultSet:
@@ -273,61 +281,54 @@ class Executor:
             rows=[list(row) for row in result.rows],
         )
 
-    def _run_select(self, statement: SelectStatement, state: ExecutionState,
-                    outer_env: RowEnvironment | None = None) -> ResultSet:
+    def _resolve_from(self, refs, state: ExecutionState):
+        """Resolve a FROM clause into parallel per-position lists: the
+        row sources expressions bind to, the tables behind them, and the
+        table keys a memoized plan is checked against."""
         sources: list[RowSource] = []
         tables: list[Table] = []
         table_keys: list[tuple] = []
-        for ref in statement.tables:
+        for ref in refs:
             table = self._from_table(ref, state)
             database_name = ref.name.database or state.session.database
             sources.append(self._source_for(ref, table, database_name))
             tables.append(table)
             table_keys.append(self._table_key(ref.name, table, state))
+        return sources, tables, tuple(table_keys)
 
+    def _run_select(self, statement: SelectStatement, state: ExecutionState,
+                    outer_env: RowEnvironment | None = None) -> ResultSet:
+        sources, tables, table_keys = self._resolve_from(
+            statement.tables, state)
         env = RowEnvironment(sources, parent=outer_env)
         ctx = self._eval_context(state)
-        bindings = None
-        row_overrides = None
-        if self.server.planner_enabled:
-            plan = self._plan_for(
-                statement, sources, tables, tuple(table_keys), env, state)
-            bindings = dagexec.select_bindings(
-                self, plan, sources, tables, env, ctx)
-        else:
-            row_overrides = self._scan_plan(
-                statement.where, sources, tables, env, ctx, state)
+        bindings = self._select_bindings(
+            statement, sources, tables, table_keys, env, ctx)
 
-        grouped = bool(statement.group_by) or any(
-            contains_aggregate(item.expr) for item in statement.items
-        ) or (statement.having is not None)
-
+        grouped = planner.is_grouped(statement)
         if grouped:
-            result = self._run_grouped_select(
-                statement, state, env, ctx, tables, row_overrides,
-                bindings=bindings)
+            result = self._run_grouped_select(statement, env, ctx, bindings)
         else:
-            result = self._run_plain_select(
-                statement, state, env, ctx, tables, row_overrides,
-                bindings=bindings)
+            result = self._run_plain_select(statement, env, ctx, bindings)
 
         if statement.distinct:
             result.rows = _distinct(result.rows)
         if statement.top is not None:
             result.rows = result.rows[: statement.top]
 
-        if bindings is not None:
-            ops = {"project": len(result.rows)}
-            if grouped:
-                ops["aggregate"] = len(result.rows)
-            if statement.order_by:
-                ops["sort"] = len(result.rows)
-            if statement.top is not None:
-                ops["limit"] = len(result.rows)
-            self.server.note_plan_ops(ops)
+        ops = {"project": len(result.rows)}
+        if grouped:
+            ops["aggregate"] = len(result.rows)
+        if statement.order_by:
+            ops["sort"] = len(result.rows)
+        if statement.top is not None:
+            ops["limit"] = len(result.rows)
+        self.server.note_plan_ops(ops)
 
         if statement.into is not None:
-            self._select_into(statement, result, state, tables, sources)
+            self._materialize_into(
+                statement.into, self._infer_schema(statement, result, sources),
+                result, state)
         return result
 
     def _table_key(self, name: QualifiedName, table: Table,
@@ -347,217 +348,32 @@ class Executor:
         return ("table", database, table.owner.lower(),
                 table.name.lower(), columns)
 
-    def _plan_for(self, statement: SelectStatement, sources, tables,
-                  table_keys: tuple, env: RowEnvironment,
-                  state: ExecutionState):
-        """The memoized optimized plan for one SELECT (planned fresh on
-        a memo miss — first execution, DDL epoch bump, or key change)."""
+    def _memo_plan(self, statement, table_keys: tuple, build):
+        """The memoized optimized plan for one statement; ``build(epoch)``
+        plans it fresh on a memo miss — first execution, DDL epoch bump,
+        or table-key change."""
         epoch = self.server.catalog.schema_epoch
         cache = self.server.plan_cache
         plan = cache.get_plan(statement, epoch, table_keys)
-        if plan is not None:
-            return plan
-        start = _time.perf_counter()
-        plan = planner.plan_select(
-            self, statement, sources, tables, table_keys, env, epoch)
-        self.server.note_planner_time(_time.perf_counter() - start)
-        cache.put_plan(statement, epoch, table_keys, plan)
+        if plan is None:
+            start = _time.perf_counter()
+            plan = build(epoch)
+            self.server.note_planner_time(_time.perf_counter() - start)
+            cache.put_plan(statement, epoch, table_keys, plan)
         return plan
 
-    def _iterate_rows(self, sources: list[RowSource], tables: list[Table],
-                      where: Expression | None, env: RowEnvironment,
-                      ctx: EvalContext,
-                      row_overrides: dict[int, list] | None = None):
-        """Yield once per qualifying cross-product row (rows bound in-place).
-
-        ``row_overrides`` narrows a source's candidate rows (index scans).
-        An override may be a list, or a zero-argument callable producing
-        one — a join probe, evaluated fresh each time the outer sources
-        it depends on are rebound.
-        """
-        if not sources:
-            if where is None or is_true(evaluate(where, env, ctx)):
-                yield
-            return
-
-        row_lists = [
-            (row_overrides[position] if row_overrides and position in row_overrides
-             else list(table.rows))
-            for position, table in enumerate(tables)
-        ]
-
-        accounting = self.server.accounting
-        track = accounting is not None and accounting.active()
-        if track:
-            # Charge materialized candidates once per scan setup (probe
-            # callables are charged below, when they actually run), and
-            # classify each source as index-narrowed or full scan.
-            index_sources = len(row_overrides) if row_overrides else 0
-            accounting.note_scan(
-                sum(len(rows) for rows in row_lists if not callable(rows)),
-                index_sources,
-                len(sources) - index_sources)
-
-        def recurse(depth: int):
-            if depth == len(sources):
-                if where is None or is_true(evaluate(where, env, ctx)):
-                    yield
-                return
-            source = sources[depth]
-            candidates = row_lists[depth]
-            if callable(candidates):
-                candidates = candidates()
-                if track:
-                    accounting.note_rows(len(candidates))
-            for row in candidates:
-                source.row = row
-                yield from recurse(depth + 1)
-            source.row = None
-
-        yield from recurse(0)
-
-    def _indexed_position(self, column: Expression,
-                          sources: list[RowSource], tables: list[Table],
-                          env: RowEnvironment,
-                          overrides: dict) -> tuple[int, TableIndex] | None:
-        """Resolve a column reference to an un-overridden source position
-        whose table has an index on that column."""
-        if not isinstance(column, ColumnRef):
-            return None
-        try:
-            source, _column_index = env.resolve(column)
-        except Exception:
-            return None
-        for position, candidate in enumerate(sources):
-            if candidate is source:
-                break
-        else:
-            return None  # resolved into an outer query's sources
-        if position in overrides:
-            return None
-        table_index = tables[position].index_on(column.column_name)
-        if table_index is None:
-            return None
-        return position, table_index
-
-    def _scan_plan(self, where: Expression | None,
-                   sources: list[RowSource], tables: list[Table],
-                   env: RowEnvironment, ctx: EvalContext,
-                   state: ExecutionState) -> dict[int, object] | None:
-        """Index-driven scan narrowing from the WHERE's top-level conjuncts.
-
-        Per source position this installs at most one override:
-
-        - a static candidate list, from ``col = <row-free expr>`` or
-          ``col IN (<row-free exprs>)`` over an indexed column; or
-        - a probe callable, from an equi-join conjunct ``a.x = b.y``
-          whose later-bound side is indexed; the probe runs at iteration
-          time, after the earlier side's row is bound.
-
-        Soundness: each override comes from one conjunct, and the full
-        WHERE is still evaluated per candidate row — the index only
-        skips rows that cannot satisfy that conjunct.
-        """
-        if where is None or not sources:
-            return None
-        overrides: dict[int, object] = {}
-        for conjunct in _conjuncts(where):
-            if isinstance(conjunct, InList) and not conjunct.negated:
-                if any(_expr_has_columns(item) for item in conjunct.items):
-                    continue
-                resolved = self._indexed_position(
-                    conjunct.operand, sources, tables, env, overrides)
-                if resolved is None:
-                    continue
-                position, table_index = resolved
-                candidates: list = []
-                seen: set[int] = set()
-                for item in conjunct.items:
-                    value = self._eval_scalar(item, state)
-                    for row in table_index.lookup(tables[position], value):
-                        if id(row) not in seen:
-                            seen.add(id(row))
-                            candidates.append(row)
-                overrides[position] = candidates
-                self._note_index_scan("in")
-                continue
-            if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
-                continue
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-                resolved_left = self._indexed_position(
-                    left, sources, tables, env, {})
-                resolved_right = self._indexed_position(
-                    right, sources, tables, env, {})
-                # Probe the later-bound side with the earlier side's value.
-                best = None
-                for own, other in ((resolved_right, left),
-                                   (resolved_left, right)):
-                    if own is None:
-                        continue
-                    position, table_index = own
-                    if position in overrides:
-                        continue
-                    other_source = self._source_position(other, sources, env)
-                    if other_source is None or other_source >= position:
-                        continue
-                    best = (position, table_index, other)
-                    break
-                if best is None:
-                    continue
-                position, table_index, probe_expr = best
-
-                def probe(index=table_index, table=tables[position],
-                          expr=probe_expr):
-                    return index.lookup(table, evaluate(expr, env, ctx))
-
-                overrides[position] = probe
-                self._note_index_scan("join")
-                continue
-            for column_side, value_side in ((left, right), (right, left)):
-                if _expr_has_columns(value_side):
-                    continue
-                resolved = self._indexed_position(
-                    column_side, sources, tables, env, overrides)
-                if resolved is None:
-                    continue
-                position, table_index = resolved
-                value = self._eval_scalar(value_side, state)
-                overrides[position] = table_index.lookup(
-                    tables[position], value)
-                self._note_index_scan("eq")
-                break
-        return overrides or None
-
-    @staticmethod
-    def _source_position(column: Expression, sources: list[RowSource],
-                         env: RowEnvironment) -> int | None:
-        """The position of the source a column reference binds to."""
-        if not isinstance(column, ColumnRef):
-            return None
-        try:
-            source, _column_index = env.resolve(column)
-        except Exception:
-            return None
-        for position, candidate in enumerate(sources):
-            if candidate is source:
-                return position
-        return None
-
-    def _note_index_scan(self, kind: str) -> None:
-        """Count one index-backed narrowing (plain counter + metrics)."""
-        server = self.server
-        server.index_scans += 1
-        if server._m_index_scans is not None:
-            server._m_index_scans.labels(kind).inc()
-
-    def _execute_union(self, statement: UnionSelect,
-                       state: ExecutionState) -> None:
-        result = self._run_union(statement, state)
-        if statement.into is None:
-            state.result.result_sets.append(result)
-            state.result.rowcount = len(result.rows)
-            state.session.global_vars["@@rowcount"] = len(result.rows)
+    def _select_bindings(self, statement, sources: list[RowSource],
+                         tables: list[Table], table_keys: tuple,
+                         env: RowEnvironment, ctx: EvalContext):
+        """The binding stream of one FROM/WHERE: an iterator that binds
+        each qualifying row combination into ``sources`` in place, in
+        FROM-order, yielding once per combination."""
+        plan = self._memo_plan(
+            statement, table_keys,
+            lambda epoch: planner.plan_select(
+                statement, sources, tables, table_keys, env, epoch))
+        return dagexec.select_bindings(
+            self.server, plan, sources, tables, env, ctx)
 
     def _run_union(self, statement: UnionSelect, state: ExecutionState,
                    outer_env: RowEnvironment | None = None) -> ResultSet:
@@ -590,7 +406,8 @@ class Executor:
             ]
             result.rows = _sorted_rows(result.rows, keys, statement.order_by)
         if statement.into is not None:
-            self._union_into(statement, result, state)
+            self._materialize_into(
+                statement.into, _schema_from_result(result), result, state)
         return result
 
     @staticmethod
@@ -609,26 +426,6 @@ class Executor:
                     return index
         raise ExecutionError(
             "ORDER BY on a UNION must name an output column or position")
-
-    def _union_into(self, statement: UnionSelect, result: ResultSet,
-                    state: ExecutionState) -> None:
-        database, owner, name = self.server.catalog.owner_for_create(
-            statement.into, state.session)
-        if database.get_table(owner, name) is not None:
-            raise CatalogError(
-                f"table '{owner}.{name}' already exists in database "
-                f"'{database.name}'"
-            )
-        table = Table(name=name, owner=owner,
-                      schema=_schema_from_result(result))
-        for row in result.rows:
-            table.insert_row(list(row))
-        database.add_table(table)
-        state.session.tx_log.record_undo(
-            lambda db=database, o=owner, n=name: db.tables.pop(
-                (o.lower(), n.lower()), None)
-        )
-        state.result.rowcount = len(result.rows)
 
     def _expand_items(self, items: tuple[SelectItem, ...],
                       sources: list[RowSource]) -> list[tuple[Expression, str]]:
@@ -656,21 +453,15 @@ class Executor:
                 expanded.append((item.expr, _column_name(item)))
         return expanded
 
-    def _run_plain_select(self, statement: SelectStatement, state: ExecutionState,
+    def _run_plain_select(self, statement: SelectStatement,
                           env: RowEnvironment, ctx: EvalContext,
-                          tables: list[Table],
-                          row_overrides: dict[int, list] | None = None,
-                          bindings=None) -> ResultSet:
+                          bindings) -> ResultSet:
         expanded = self._expand_items(statement.items, env.sources)
         columns = [name for _expr, name in expanded]
         order_exprs = [item.expr for item in statement.order_by]
         rows: list[list[object]] = []
         order_keys: list[tuple] = []
-        iterator = (bindings if bindings is not None
-                    else self._iterate_rows(env.sources, tables,
-                                            statement.where, env, ctx,
-                                            row_overrides))
-        for _ in iterator:
+        for _ in bindings:
             row = [evaluate(expr, env, ctx) for expr, _name in expanded]
             rows.append(row)
             if order_exprs:
@@ -679,38 +470,19 @@ class Executor:
             rows = _sorted_rows(rows, order_keys, statement.order_by)
         return ResultSet(columns=columns, rows=rows)
 
-    def _run_grouped_select(self, statement: SelectStatement, state: ExecutionState,
+    def _run_grouped_select(self, statement: SelectStatement,
                             env: RowEnvironment, ctx: EvalContext,
-                            tables: list[Table],
-                            row_overrides: dict[int, list] | None = None,
-                            bindings=None) -> ResultSet:
+                            bindings) -> ResultSet:
         expanded = self._expand_items(statement.items, env.sources)
         columns = [name for _expr, name in expanded]
 
         # Materialize qualifying rows as frozen environments.
         group_rows: dict[tuple, list[RowEnvironment]] = {}
         group_order: list[tuple] = []
-        iterator = (bindings if bindings is not None
-                    else self._iterate_rows(env.sources, tables,
-                                            statement.where, env, ctx,
-                                            row_overrides))
-        for _ in iterator:
-            frozen = RowEnvironment(
-                [
-                    RowSource(source.keys, source.schema,
-                              list(source.row) if source.row is not None else None,
-                              source.label)
-                    for source in env.sources
-                ],
-                parent=env.parent,
-            )
-            if statement.group_by:
-                key = tuple(
-                    _hashable(evaluate(expr, frozen, ctx))
-                    for expr in statement.group_by
-                )
-            else:
-                key = ()
+        for _ in bindings:
+            frozen = _frozen(env)
+            key = tuple(
+                evaluate(expr, frozen, ctx) for expr in statement.group_by)
             if key not in group_rows:
                 group_rows[key] = []
                 group_order.append(key)
@@ -815,17 +587,16 @@ class Executor:
             keys.append(_null_safe_key(evaluate(expr, env, ctx)))
         return tuple(keys)
 
-    def _select_into(self, statement: SelectStatement, result: ResultSet,
-                     state: ExecutionState, tables: list[Table],
-                     sources: list[RowSource]) -> None:
+    def _materialize_into(self, into: QualifiedName, schema: TableSchema,
+                          result: ResultSet, state: ExecutionState) -> None:
+        """Create the INTO table of a SELECT or UNION from its result."""
         database, owner, name = self.server.catalog.owner_for_create(
-            statement.into, state.session)
+            into, state.session)
         if database.get_table(owner, name) is not None:
             raise CatalogError(
                 f"table '{owner}.{name}' already exists in database "
                 f"'{database.name}'"
             )
-        schema = self._infer_schema(statement, result, sources, state)
         table = Table(name=name, owner=owner, schema=schema)
         for row in result.rows:
             table.insert_row(list(row))
@@ -834,11 +605,12 @@ class Executor:
             lambda db=database, o=owner, n=name: db.tables.pop(
                 (o.lower(), n.lower()), None)
         )
-        state.result.rowcount = len(result.rows)
-        state.session.global_vars["@@rowcount"] = len(result.rows)
+        self._set_rowcount(state, len(result.rows))
 
     def _infer_schema(self, statement: SelectStatement, result: ResultSet,
-                      sources: list[RowSource], state: ExecutionState) -> TableSchema:
+                      sources: list[RowSource]) -> TableSchema:
+        """SELECT INTO's schema: a plain column keeps its source type,
+        anything computed is typed from its values."""
         expanded = self._expand_items(statement.items, sources)
         columns: list[Column] = []
         for index, (expr, name) in enumerate(expanded):
@@ -847,33 +619,10 @@ class Executor:
                     "SELECT INTO requires every column to have a name "
                     f"(column {index + 1} has none)"
                 )
-            sql_type = self._infer_type(expr, sources, result, index)
+            sql_type = (_source_column_type(expr, sources)
+                        or _value_type(row[index] for row in result.rows))
             columns.append(Column(name, sql_type, nullable=True))
         return TableSchema(columns)
-
-    def _infer_type(self, expr: Expression, sources: list[RowSource],
-                    result: ResultSet, index: int) -> SqlType:
-        if isinstance(expr, ColumnRef):
-            for source in sources:
-                if expr.qualifier and not source.matches(expr.qualifier):
-                    continue
-                col_index = source.schema.index_of(expr.column_name, required=False)
-                if col_index is not None:
-                    return source.schema.columns[col_index].sql_type
-        for row in result.rows:
-            value = row[index]
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                return SqlType.parse("bit")
-            if isinstance(value, int):
-                return SqlType.parse("int")
-            if isinstance(value, float):
-                return SqlType.parse("float")
-            if isinstance(value, _dt.datetime):
-                return SqlType.parse("datetime")
-            return SqlType.parse("varchar", max(30, len(str(value))))
-        return SqlType.parse("varchar", 255)
 
     # ------------------------------------------------------------------
     # DML
@@ -896,7 +645,7 @@ class Executor:
             else:
                 stored = table.insert_row(values)
             inserted.append(stored)
-        self._after_dml(state, len(inserted))
+        self._set_rowcount(state, len(inserted))
         self._fire_trigger(database, table, "insert", inserted, [], state)
 
     def _execute_insert_select(self, statement: InsertSelect,
@@ -917,18 +666,12 @@ class Executor:
             else:
                 stored = table.insert_row(list(row))
             inserted.append(stored)
-        self._after_dml(state, len(inserted))
+        self._set_rowcount(state, len(inserted))
         self._fire_trigger(database, table, "insert", inserted, [], state)
 
     def _execute_update(self, statement: UpdateStatement,
                         state: ExecutionState) -> None:
-        table = self._resolve_table(statement.table, state)
-        assert table is not None
-        database = self._database_of(statement.table, state)
-        database_name = statement.table.database or state.session.database
-        source = self._source_for(
-            TableRef(statement.table, None), table, database_name)
-        env = RowEnvironment([source])
+        table, database, source, env = self._dml_target(statement, state)
         ctx = self._eval_context(state)
 
         state.session.tx_log.before_table_mutation(table)
@@ -937,9 +680,7 @@ class Executor:
             for column, expr in statement.assignments
         ]
         candidates = self._dml_candidates(
-            statement.where, source, table, env, ctx, state,
-            statement=statement, kind="update",
-            columns=tuple(column for column, _ in statement.assignments))
+            statement, source, table, env, ctx, state)
         deleted: list[list[object]] = []
         inserted: list[list[object]] = []
         for row in candidates:
@@ -967,23 +708,16 @@ class Executor:
                 {column for column, _ in statement.assignments})
             for table_index in table.indexes.values():
                 table_index.check_unique(table)
-        self._after_dml(state, len(inserted))
+        self._set_rowcount(state, len(inserted))
         self._fire_trigger(database, table, "update", inserted, deleted, state)
 
     def _execute_delete(self, statement: DeleteStatement,
                         state: ExecutionState) -> None:
-        table = self._resolve_table(statement.table, state)
-        assert table is not None
-        database = self._database_of(statement.table, state)
-        database_name = statement.table.database or state.session.database
-        source = self._source_for(
-            TableRef(statement.table, None), table, database_name)
-        env = RowEnvironment([source])
+        table, database, source, env = self._dml_target(statement, state)
         ctx = self._eval_context(state)
         state.session.tx_log.before_table_mutation(table)
         candidates = self._dml_candidates(
-            statement.where, source, table, env, ctx, state,
-            statement=statement, kind="delete")
+            statement, source, table, env, ctx, state)
         if candidates is table.rows:
             def predicate(row: list[object]) -> bool:
                 if statement.where is None:
@@ -1002,54 +736,43 @@ class Executor:
                     doomed.add(id(row))
             deleted = table.delete_rows(lambda row: id(row) in doomed)
         source.row = None
-        self._after_dml(state, len(deleted))
+        self._set_rowcount(state, len(deleted))
         self._fire_trigger(database, table, "delete", [], deleted, state)
 
-    def _dml_candidates(self, where: Expression | None, source: RowSource,
-                        table: Table, env: RowEnvironment, ctx: EvalContext,
-                        state: ExecutionState, statement=None,
-                        kind: str = "", columns: tuple = ()):
-        """Candidate rows for single-table DML: an index-narrowed list
-        when the WHERE permits, else the table's live row list.
+    def _dml_target(self, statement, state: ExecutionState):
+        """Resolve the target of a single-table UPDATE/DELETE: the table,
+        its database, and a one-source row environment over it."""
+        table = self._resolve_table(statement.table, state)
+        assert table is not None
+        database = self._database_of(statement.table, state)
+        database_name = statement.table.database or state.session.database
+        source = self._source_for(
+            TableRef(statement.table, None), table, database_name)
+        return table, database, source, RowEnvironment([source])
 
-        With the planner enabled the narrowing comes from a memoized
-        :class:`~repro.sqlengine.planner.DmlPlan`; either way the caller
-        re-checks the full WHERE per candidate, so narrowing only ever
-        skips rows that cannot match.
-        """
+    def _dml_candidates(self, statement, source: RowSource, table: Table,
+                        env: RowEnvironment, ctx: EvalContext,
+                        state: ExecutionState):
+        """Candidate rows for a single-table UPDATE/DELETE: an
+        index-narrowed list when the memoized
+        :class:`~repro.sqlengine.planner.DmlPlan` has a live hint, else
+        the table's live row list.  The caller re-checks the full WHERE
+        per candidate, so narrowing only ever skips rows that cannot
+        match."""
+        table_keys = (self._table_key(statement.table, table, state),)
+        plan = self._memo_plan(
+            statement, table_keys,
+            lambda epoch: planner.plan_dml(
+                statement, source, table, table_keys, env, epoch))
+        candidates = dagexec.dml_candidates(
+            self.server, plan, table, env, ctx)
         accounting = self.server.accounting
-        track = accounting is not None and accounting.active()
-        if self.server.planner_enabled and statement is not None:
-            table_keys = (self._table_key(statement.table, table, state),)
-            epoch = self.server.catalog.schema_epoch
-            cache = self.server.plan_cache
-            dml_plan = cache.get_plan(statement, epoch, table_keys)
-            if dml_plan is None:
-                start = _time.perf_counter()
-                dml_plan = planner.plan_dml(
-                    self, statement, where, [source], [table], table_keys,
-                    env, epoch, kind, columns)
-                self.server.note_planner_time(_time.perf_counter() - start)
-                cache.put_plan(statement, epoch, table_keys, dml_plan)
-            candidates = dagexec.dml_candidates(
-                self, dml_plan, source, table, env, ctx)
-            if track:
-                if candidates is table.rows:
-                    accounting.note_scan(len(table.rows), 0, 1)
-                else:
-                    accounting.note_scan(len(candidates), 1, 0)
-            return candidates
-        plan = self._scan_plan(where, [source], [table], env, ctx, state)
-        if plan and 0 in plan:
-            candidates = plan[0]
-            if callable(candidates):
-                candidates = candidates()
-            if track:
+        if accounting is not None and accounting.active():
+            if candidates is table.rows:
+                accounting.note_scan(len(table.rows), 0, 1)
+            else:
                 accounting.note_scan(len(candidates), 1, 0)
-            return candidates
-        if track:
-            accounting.note_scan(len(table.rows), 0, 1)
-        return table.rows
+        return candidates
 
     def _execute_truncate(self, statement: TruncateStatement,
                           state: ExecutionState) -> None:
@@ -1058,9 +781,9 @@ class Executor:
         state.session.tx_log.before_table_mutation(table)
         count = table.truncate()
         # TRUNCATE skips triggers, like Sybase's fast path.
-        self._after_dml(state, count)
+        self._set_rowcount(state, count)
 
-    def _after_dml(self, state: ExecutionState, rowcount: int) -> None:
+    def _set_rowcount(self, state: ExecutionState, rowcount: int) -> None:
         state.result.rowcount = rowcount
         state.session.global_vars["@@rowcount"] = rowcount
 
@@ -1263,37 +986,26 @@ class Executor:
 
     def _execute_assign_select(self, statement: AssignSelect,
                                state: ExecutionState) -> None:
-        sources: list[RowSource] = []
-        tables: list[Table] = []
-        for ref in statement.tables:
-            table = self._resolve_table(ref.name, state)
-            assert table is not None
-            database_name = ref.name.database or state.session.database
-            sources.append(self._source_for(ref, table, database_name))
-            tables.append(table)
+        sources, tables, table_keys = self._resolve_from(
+            statement.tables, state)
         env = RowEnvironment(sources)
         ctx = self._eval_context(state)
+        bindings = self._select_bindings(
+            statement, sources, tables, table_keys, env, ctx)
         aggregated = any(
             contains_aggregate(expr) for _name, expr in statement.assignments
         )
         if aggregated:
             # T-SQL allows `select @m = max(price) from t`: aggregate over
             # all qualifying rows, assign once.
-            members: list[RowEnvironment] = []
-            for _ in self._iterate_rows(sources, tables, statement.where, env, ctx):
-                members.append(RowEnvironment([
-                    RowSource(source.keys, source.schema,
-                              list(source.row) if source.row is not None else None,
-                              source.label)
-                    for source in sources
-                ]))
+            members = [_frozen(env) for _ in bindings]
             representative = members[0] if members else env
             for name, expr in statement.assignments:
                 state.variables[name] = self._eval_grouped(
                     expr, members, representative, ctx)
             return
         matched = 0
-        for _ in self._iterate_rows(sources, tables, statement.where, env, ctx):
+        for _ in bindings:
             matched += 1
             for name, expr in statement.assignments:
                 state.variables[name] = evaluate(expr, env, ctx)
@@ -1423,10 +1135,9 @@ class Executor:
     def _execute_explain(self, statement: ExplainStatement,
                          state: ExecutionState) -> None:
         lines = self._explain_lines(statement.target, state)
-        result = ResultSet(columns=["plan"], rows=[[line] for line in lines])
-        state.result.result_sets.append(result)
-        state.result.rowcount = len(result.rows)
-        state.session.global_vars["@@rowcount"] = len(result.rows)
+        self._emit(
+            ResultSet(columns=["plan"], rows=[[line] for line in lines]),
+            state)
 
     def _explain_lines(self, target: Statement, state: ExecutionState,
                        required: bool = True) -> list[str]:
@@ -1447,23 +1158,11 @@ class Executor:
                     for line in self._explain_select(part, state))
             return lines
         if isinstance(target, (UpdateStatement, DeleteStatement)):
-            table = self._resolve_table(target.table, state)
-            assert table is not None
-            database_name = target.table.database or state.session.database
-            source = self._source_for(
-                TableRef(target.table, None), table, database_name)
-            env = RowEnvironment([source])
+            table, _database, source, env = self._dml_target(target, state)
             table_keys = (self._table_key(target.table, table, state),)
-            if isinstance(target, UpdateStatement):
-                kind = "update"
-                columns = tuple(
-                    column for column, _ in target.assignments)
-            else:
-                kind = "delete"
-                columns = ()
             plan = planner.plan_dml(
-                self, target, target.where, [source], [table], table_keys,
-                env, self.server.catalog.schema_epoch, kind, columns)
+                target, source, table, table_keys, env,
+                self.server.catalog.schema_epoch)
             return planner.render_plan(plan.root)
         if isinstance(target, InsertValues):
             root = planner.InsertOp(
@@ -1486,18 +1185,10 @@ class Executor:
     def _fresh_select_plan(self, statement: SelectStatement,
                            state: ExecutionState):
         """Plan one SELECT outside the memo (EXPLAIN wants live numbers)."""
-        sources: list[RowSource] = []
-        tables: list[Table] = []
-        table_keys: list[tuple] = []
-        for ref in statement.tables:
-            table = self._from_table(ref, state)
-            database_name = ref.name.database or state.session.database
-            sources.append(self._source_for(ref, table, database_name))
-            tables.append(table)
-            table_keys.append(self._table_key(ref.name, table, state))
-        env = RowEnvironment(sources)
+        sources, tables, table_keys = self._resolve_from(
+            statement.tables, state)
         return planner.plan_select(
-            self, statement, sources, tables, tuple(table_keys), env,
+            statement, sources, tables, table_keys, RowEnvironment(sources),
             self.server.catalog.schema_epoch)
 
     def _explain_select(self, statement: SelectStatement,
@@ -1520,8 +1211,8 @@ class Executor:
 
 
 Executor._HANDLERS = {
-    SelectStatement: Executor._execute_select,
-    UnionSelect: Executor._execute_union,
+    SelectStatement: Executor._execute_query,
+    UnionSelect: Executor._execute_query,
     CreateViewStatement: Executor._execute_create_view,
     DropViewStatement: Executor._execute_drop_view,
     CreateIndexStatement: Executor._execute_create_index,
@@ -1616,8 +1307,18 @@ def _column_name(item: SelectItem) -> str:
     return ""
 
 
-def _hashable(value: object) -> object:
-    return value
+def _frozen(env: RowEnvironment) -> RowEnvironment:
+    """A copy of ``env`` holding copies of the currently bound rows, so
+    a group member survives the binding stream moving on."""
+    return RowEnvironment(
+        [
+            RowSource(source.keys, source.schema,
+                      list(source.row) if source.row is not None else None,
+                      source.label)
+            for source in env.sources
+        ],
+        parent=env.parent,
+    )
 
 
 def _null_safe_key(value: object) -> tuple:
@@ -1661,51 +1362,35 @@ def _distinct(rows: list[list[object]]) -> list[list[object]]:
     return unique
 
 
-def _conjuncts(expr: Expression) -> list[Expression]:
-    """Flatten top-level AND chains into their conjuncts."""
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _expr_has_columns(expr: Expression) -> bool:
-    """Whether an expression references any column (vs constants/vars)."""
-    from .expressions import (
-        Between,
-        CaseExpr,
-        Exists,
-        InList,
-        InSubquery,
-        IsNull,
-        ScalarSubquery,
-        UnaryOp,
-    )
-
+def _source_column_type(expr: Expression,
+                        sources: list[RowSource]) -> SqlType | None:
+    """The declared type of the source column a plain column reference
+    names, or None for anything computed."""
     if isinstance(expr, ColumnRef):
-        return True
-    if isinstance(expr, (Exists, ScalarSubquery, InSubquery)):
-        return True  # conservatively treat subqueries as row-dependent
-    if isinstance(expr, UnaryOp):
-        return _expr_has_columns(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return _expr_has_columns(expr.left) or _expr_has_columns(expr.right)
-    if isinstance(expr, FunctionCall):
-        return any(_expr_has_columns(arg) for arg in expr.args)
-    if isinstance(expr, InList):
-        return _expr_has_columns(expr.operand) or any(
-            _expr_has_columns(item) for item in expr.items)
-    if isinstance(expr, Between):
-        return any(_expr_has_columns(part)
-                   for part in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, IsNull):
-        return _expr_has_columns(expr.operand)
-    if isinstance(expr, CaseExpr):
-        parts = [part for part in (expr.operand, expr.default)
-                 if part is not None]
-        for when, then in expr.whens:
-            parts.extend((when, then))
-        return any(_expr_has_columns(part) for part in parts)
-    return False
+        for source in sources:
+            if expr.qualifier and not source.matches(expr.qualifier):
+                continue
+            col_index = source.schema.index_of(expr.column_name, required=False)
+            if col_index is not None:
+                return source.schema.columns[col_index].sql_type
+    return None
+
+
+def _value_type(values) -> SqlType:
+    """The SQL type of the first non-NULL value (varchar(255) if none)."""
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            return SqlType.parse("bit")
+        if isinstance(value, int):
+            return SqlType.parse("int")
+        if isinstance(value, float):
+            return SqlType.parse("float")
+        if isinstance(value, _dt.datetime):
+            return SqlType.parse("datetime")
+        return SqlType.parse("varchar", max(30, len(str(value))))
+    return SqlType.parse("varchar", 255)
 
 
 def _schema_from_result(result: ResultSet) -> TableSchema:
@@ -1717,21 +1402,6 @@ def _schema_from_result(result: ResultSet) -> TableSchema:
                 f"column {index + 1} of the result has no name; "
                 "alias every computed column"
             )
-        sql_type = SqlType.parse("varchar", 255)
-        for row in result.rows:
-            value = row[index]
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                sql_type = SqlType.parse("bit")
-            elif isinstance(value, int):
-                sql_type = SqlType.parse("int")
-            elif isinstance(value, float):
-                sql_type = SqlType.parse("float")
-            elif isinstance(value, _dt.datetime):
-                sql_type = SqlType.parse("datetime")
-            else:
-                sql_type = SqlType.parse("varchar", max(30, len(str(value))))
-            break
+        sql_type = _value_type(row[index] for row in result.rows)
         columns.append(Column(name, sql_type, nullable=True))
     return TableSchema(columns)

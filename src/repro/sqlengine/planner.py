@@ -1,12 +1,12 @@
 """Cost-based planner: lower a parsed statement into an operator DAG.
 
-The legacy executor walks the AST directly: nested cross-product loops
-with the full WHERE evaluated innermost, plus the ad-hoc index overrides
-bolted on by ``Executor._scan_plan``.  This module gives statements an
-explicit plan instead — Scan/IndexScan, Join, Filter, Aggregate, Sort,
-Project, Limit, and the write operators — produced once per statement
-and reused across executions via the plan memo in
-:class:`~repro.sqlengine.plancache.PlanCache`.
+Every SELECT, UPDATE and DELETE gets an explicit plan — Scan/IndexScan,
+Join, Filter, Aggregate, Sort, Project, Limit, and the write operators
+— produced once per statement and reused across executions via the plan
+memo in :class:`~repro.sqlengine.plancache.PlanCache`.  The semantics a
+plan must preserve are those of a plain nested loop over the FROM
+tables with the full WHERE checked per combination; that loop lives on
+as the differential oracle, :mod:`repro.difftest.sqlref`.
 
 Optimizer rules applied during lowering:
 
@@ -15,9 +15,8 @@ Optimizer rules applied during lowering:
 - **predicate pushdown** — single-source, subquery-free conjuncts move
   below the joins into their scan; ORs spanning tables, subqueries, and
   outer (correlated) references stay in the residual filter.
-- **index selection** — PR 4's equality / IN-list / join-probe override
-  rules, ported verbatim so planned runs choose the same indexes (and
-  count the same ``index_scans``) as the legacy walker.
+- **index selection** — equality / IN-list / join-probe rules over the
+  WHERE's top-level conjuncts, each counted in ``index_scans``.
 - **join ordering** — greedy order over live per-table cardinalities:
   smallest effective input first, then whichever remaining table has an
   equi-join edge to the tables already placed.
@@ -30,11 +29,11 @@ executing side (:mod:`repro.sqlengine.dagexec`) re-validates every index
 hint against the runtime table and degrades gracefully when an index is
 gone, keeping staleness a performance matter, never correctness.
 
-Output-order fidelity: the legacy walker emits rows in FROM-order
-cross-product order.  Every scan here tags candidates with their
-enumeration ordinal, and the DAG executor restores the legacy order by
-sorting surviving bindings on the FROM-position ordinal tuple — so
-DISTINCT, TOP, grouping, and unsorted SELECTs stay byte-identical.
+Output order: unsorted output is FROM-order cross-product order, no
+matter how the joins were reordered.  Every scan tags candidates with
+their enumeration ordinal, and the DAG executor sorts surviving
+bindings on the FROM-position ordinal tuple — so DISTINCT, TOP,
+grouping, and unsorted SELECTs do not depend on the join order chosen.
 """
 
 from __future__ import annotations
@@ -61,10 +60,9 @@ from .expressions import (
     VariableRef,
     contains_aggregate,
 )
-from .statements import SelectStatement
+from .statements import SelectStatement, UpdateStatement
 
 __all__ = [
-    "DEFAULT_ENABLED",
     "AggregateOp",
     "DeleteOp",
     "DmlPlan",
@@ -81,14 +79,11 @@ __all__ = [
     "ValuesOp",
     "describe_expr",
     "fold_constants",
+    "is_grouped",
     "plan_dml",
     "plan_select",
     "render_plan",
 ]
-
-#: Default for ``SqlServer.planner_enabled`` — the DAG executor is on by
-#: default; tests and the difftest axis monkeypatch this to pin a mode.
-DEFAULT_ENABLED = True
 
 #: Textbook selectivity factors for cardinality estimates.  They only
 #: steer join ordering and EXPLAIN output — never correctness.
@@ -97,7 +92,7 @@ _RANGE_OPS = {"<", ">", "<=", ">="}
 
 #: Canonical type name -> comparison family.  A hash join is only exact
 #: (same matches as SQL ``=``) when both join columns share a family;
-#: cross-family joins fall back to legacy semantics.
+#: a cross-family edge is never hashed (its conjunct stays residual).
 _TYPE_FAMILIES = {
     "int": "num", "float": "num", "bit": "num",
     "varchar": "str", "char": "str", "text": "str",
@@ -111,7 +106,7 @@ _TYPE_FAMILIES = {
 
 @dataclass(frozen=True)
 class IndexHint:
-    """A static index narrowing chosen at plan time (PR 4 port).
+    """A static index narrowing chosen at plan time.
 
     ``kind`` is ``eq`` (one row-free value) or ``in`` (the IN-list
     items); ``exprs`` are evaluated fresh each execution.  The hint is
@@ -128,9 +123,9 @@ class IndexHint:
 class JoinSpec:
     """How a scan joins the tables already placed before it.
 
-    ``strategy`` is ``probe`` (legacy index probe — bucket lookup per
-    outer binding) or ``hash`` (build a hash table over this scan's
-    candidates, probe with the outer side's value).  ``same_family``
+    ``strategy`` is ``probe`` (index bucket lookup per outer binding)
+    or ``hash`` (build a hash table over this scan's candidates, probe
+    with the outer side's value).  ``same_family``
     records whether both columns share a comparison type family, which
     is what licenses the hash fallback when a probe's index is gone.
     """
@@ -264,7 +259,7 @@ class ProjectOp:
 
 @dataclass(frozen=True)
 class LimitOp:
-    """TOP n, applied last like the legacy walker."""
+    """TOP n, applied last (after DISTINCT and ORDER BY)."""
 
     child: object
     top: int
@@ -330,18 +325,17 @@ class SelectPlan:
 
     ``steps`` lists the scans in chosen join order; ``residual`` holds
     the conjuncts every surviving binding is still checked against
-    (exactly mirroring the legacy full-WHERE re-check, so index and
-    hash narrowing can only ever *skip* work, never change answers).
+    (everything but pushed predicates and exact hash-join edges, so
+    index narrowing can only ever *skip* work, never change answers).
     """
 
-    statement: SelectStatement
+    statement: object
     epoch: int
     table_keys: tuple
     order: tuple
     steps: tuple
     residual: tuple
     empty: bool
-    grouped: bool
     root: object = None
 
     @property
@@ -386,7 +380,7 @@ def fold_constants(expr: Expression) -> Expression:
     Anything that could differ per execution — variables, functions,
     column references, subqueries — is left untouched, as is any pure
     subtree whose evaluation raises (the error must keep surfacing at
-    execution time, exactly where the legacy walker raises it).  A
+    execution time, per row, as unoptimized evaluation would).  A
     short-circuit rewrite handles ``false AND x`` / ``true OR x`` even
     when ``x`` is not foldable, mirroring the evaluator's 3VL.
     """
@@ -486,8 +480,7 @@ def _conjunct_info(conjunct: Expression, sources, env) -> tuple:
     source and it contains no subquery and no side-effecting function
     call (``syb_sendmsg`` — its datagram count is observable).  Outer
     (correlated) and unresolvable references make it residual-only, so
-    any resolution error still surfaces during execution, where the
-    legacy walker raises it.
+    any resolution error still surfaces during execution.
     """
     positions: set[int] = set()
     pushable = True
@@ -582,14 +575,16 @@ class _Draft:
     #                              own_expr, index_name, same_family)
 
 
-def plan_select(executor, statement: SelectStatement, sources, tables,
-                table_keys: tuple, env, epoch: int) -> SelectPlan:
+def plan_select(statement, sources, tables, table_keys: tuple, env,
+                epoch: int) -> SelectPlan:
     """Lower one SELECT into an optimized :class:`SelectPlan`.
 
     Planning happens at execution time (tables must be resolved to see
     schemas, indexes, and live cardinalities) and the result is memoized
     by the plan cache, keyed on statement identity + schema epoch +
-    the per-position table keys.
+    the per-position table keys.  A variable-assignment SELECT
+    (:class:`~repro.sqlengine.statements.AssignSelect`) plans the same
+    way; having no select list, its tree stops at the residual filter.
     """
     n = len(sources)
     conjuncts = [fold_constants(c) for c in _conjuncts(statement.where)]
@@ -629,7 +624,7 @@ def plan_select(executor, statement: SelectStatement, sources, tables,
                                   right_pos, conjunct.right, same,
                                   conjunct))
 
-    _port_index_hints(executor, conjuncts, sources, tables, env, drafts)
+    _choose_index_hints(conjuncts, sources, tables, env, drafts)
 
     # Greedy join order from live cardinalities: cheapest effective
     # input first, then prefer tables connected to what's placed.
@@ -690,15 +685,36 @@ def plan_select(executor, statement: SelectStatement, sources, tables,
     final_residual = tuple(
         c for c in residual if id(c) not in consumed_edges)
 
-    grouped = bool(statement.group_by) or any(
-        contains_aggregate(item.expr) for item in statement.items
-    ) or (statement.having is not None)
-
     node = outer_node
     if final_residual and node is not None:
         node = FilterOp(child=node, predicates=final_residual,
                         estimate=max(1.0, running * _SELECTIVITY["other"]))
-    if grouped:
+    if isinstance(statement, SelectStatement):
+        node = _output_ops(statement, node)
+
+    return SelectPlan(
+        statement=statement,
+        epoch=epoch,
+        table_keys=table_keys,
+        order=tuple(order),
+        steps=tuple(steps),
+        residual=final_residual,
+        empty=empty,
+        root=node,
+    )
+
+
+def is_grouped(statement: SelectStatement) -> bool:
+    """Whether a SELECT aggregates: GROUP BY, HAVING, or an aggregate
+    call in the select list."""
+    return bool(statement.group_by) or statement.having is not None or any(
+        contains_aggregate(item.expr) for item in statement.items)
+
+
+def _output_ops(statement: SelectStatement, node):
+    """Stack the operators above the binding stream — Aggregate, Sort,
+    Project, Limit — in the order the executor applies them."""
+    if is_grouped(statement):
         node = AggregateOp(child=node, group_by=tuple(statement.group_by),
                            having=statement.having)
     if statement.order_by:
@@ -711,28 +727,17 @@ def plan_select(executor, statement: SelectStatement, sources, tables,
     )
     if statement.top is not None:
         node = LimitOp(child=node, top=statement.top)
-
-    return SelectPlan(
-        statement=statement,
-        epoch=epoch,
-        table_keys=table_keys,
-        order=tuple(order),
-        steps=tuple(steps),
-        residual=final_residual,
-        empty=empty,
-        grouped=grouped,
-        root=node,
-    )
+    return node
 
 
 def _join_spec(draft: _Draft, position: int, placed: set, edges: list,
                consumed_edges: set) -> JoinSpec | None:
     """Pick the join strategy for one scan given what's already placed.
 
-    The legacy index probe wins when its outer side is placed (it keeps
-    PR 4's ``index_scans`` accounting and exact bucket order); otherwise
-    the first same-family equi-edge becomes a hash join, whose conjunct
-    is *exact* (same matches as ``=``) and leaves the residual.
+    The index probe wins when its outer side is placed (one
+    ``index_scans`` count, candidates in bucket order); otherwise the
+    first same-family equi-edge becomes a hash join, whose conjunct is
+    *exact* (same matches as ``=``) and leaves the residual.
     """
     if draft.probe is not None and draft.probe[1] in placed:
         column, other_pos, other_expr, own_expr, _name, same = draft.probe
@@ -758,16 +763,16 @@ def _join_spec(draft: _Draft, position: int, placed: set, edges: list,
     return None
 
 
-def _port_index_hints(executor, conjuncts, sources, tables, env,
-                      drafts) -> None:
-    """PR 4's ``_scan_plan`` selection, ported as planner rules.
+def _choose_index_hints(conjuncts, sources, tables, env, drafts) -> None:
+    """Index selection over the WHERE's top-level conjuncts.
 
-    Control flow mirrors the legacy code exactly — first matching
-    conjunct wins, at most one hint per position, probes only fire when
-    the other side binds earlier in FROM order — so a planned run picks
-    the same indexes, counts the same ``index_scans``, and (for IN
-    hints, whose item-major candidate order is observable) enumerates
-    candidates in the same order as the legacy walker.
+    First matching conjunct wins, at most one hint per position:
+    ``col = <row-free expr>`` and ``col IN (<row-free exprs>)`` over an
+    indexed column become static :class:`IndexHint` scans; an equi-join
+    conjunct ``a.x = b.y`` whose later-in-FROM side is indexed becomes
+    a probe.  Each hint comes from one conjunct and every candidate is
+    still checked against the rest of the WHERE, so an index only skips
+    rows that cannot satisfy that conjunct.
     """
     hinted: set[int] = set()
     for conjunct in conjuncts:
@@ -775,7 +780,7 @@ def _port_index_hints(executor, conjuncts, sources, tables, env,
             if any(_expr_has_columns(item) for item in conjunct.items):
                 continue
             resolved = _indexed_position(
-                executor, conjunct.operand, sources, tables, env, hinted)
+                conjunct.operand, sources, tables, env, hinted)
             if resolved is None:
                 continue
             position, table_index = resolved
@@ -790,9 +795,9 @@ def _port_index_hints(executor, conjuncts, sources, tables, env,
         left, right = conjunct.left, conjunct.right
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             resolved_left = _indexed_position(
-                executor, left, sources, tables, env, set())
+                left, sources, tables, env, set())
             resolved_right = _indexed_position(
-                executor, right, sources, tables, env, set())
+                right, sources, tables, env, set())
             best = None
             for own, other, own_expr in ((resolved_right, left, right),
                                          (resolved_left, right, left)):
@@ -821,7 +826,7 @@ def _port_index_hints(executor, conjuncts, sources, tables, env,
             if _expr_has_columns(value_side):
                 continue
             resolved = _indexed_position(
-                executor, column_side, sources, tables, env, hinted)
+                column_side, sources, tables, env, hinted)
             if resolved is None:
                 continue
             position, table_index = resolved
@@ -832,22 +837,12 @@ def _port_index_hints(executor, conjuncts, sources, tables, env,
             break
 
 
-def _indexed_position(executor, column, sources, tables, env,
+def _indexed_position(column, sources, tables, env,
                       taken: set) -> tuple | None:
-    """Legacy ``_indexed_position`` over a taken-set instead of the
-    overrides dict (same semantics: skip already-hinted positions)."""
-    if not isinstance(column, ColumnRef):
-        return None
-    try:
-        source, _column_index = env.resolve(column)
-    except Exception:
-        return None
-    for position, candidate in enumerate(sources):
-        if candidate is source:
-            break
-    else:
-        return None  # resolved into an outer query's sources
-    if position in taken:
+    """``(position, index)`` when a column reference binds to a not yet
+    hinted inner source whose table has an index on that column."""
+    position = _position_of(column, sources, env)
+    if position is None or position in taken:
         return None
     table_index = tables[position].index_on(column.column_name)
     if table_index is None:
@@ -886,17 +881,18 @@ def _item_label(item) -> str:
     return describe_expr(item.expr)
 
 
-def plan_dml(executor, statement, where, sources, tables, table_keys,
-             env, epoch: int, kind: str, columns: tuple = ()) -> DmlPlan:
+def plan_dml(statement, source, table, table_keys, env,
+             epoch: int) -> DmlPlan:
     """Plan a single-table UPDATE or DELETE: the write operator over a
-    (possibly index-narrowed) scan.  Execution reuses the legacy DML
-    machinery — triggers, tx-log, unique re-checks — candidate
-    selection is all the planner changes."""
+    (possibly index-narrowed) scan.  Candidate selection is all the
+    plan decides; the executor applies the rows (triggers, tx-log,
+    unique re-checks) and re-checks the full WHERE per candidate."""
+    where = statement.where
     conjuncts = [fold_constants(c) for c in _conjuncts(where)]
     drafts = [_Draft()]
-    _port_index_hints(executor, conjuncts, sources, tables, env, drafts)
+    _choose_index_hints(conjuncts, [source], [table], env, drafts)
     draft = drafts[0]
-    base = len(tables[0].rows)
+    base = len(table.rows)
     scan = ScanOp(
         position=0, name=statement.table.describe(), alias=None,
         pushed=(), hint=draft.hint, join=None, base_rows=base,
@@ -906,9 +902,10 @@ def plan_dml(executor, statement, where, sources, tables, table_keys,
         node = FilterOp(child=node, predicates=(where,),
                         estimate=max(1.0, scan.estimate *
                                      _SELECTIVITY["other"]))
-    if kind == "update":
-        node = UpdateOp(child=node, table=statement.table.describe(),
-                        columns=columns)
+    if isinstance(statement, UpdateStatement):
+        node = UpdateOp(
+            child=node, table=statement.table.describe(),
+            columns=tuple(column for column, _ in statement.assignments))
     else:
         node = DeleteOp(child=node, table=statement.table.describe())
     return DmlPlan(statement=statement, epoch=epoch, table_keys=table_keys,
@@ -945,7 +942,7 @@ def _conjuncts(expr: Expression | None) -> list[Expression]:
 
 def _expr_has_columns(expr: Expression) -> bool:
     """True when an expression references any column (subqueries are
-    conservatively treated as row-dependent) — legacy port."""
+    conservatively treated as row-dependent)."""
     if isinstance(expr, ColumnRef):
         return True
     if isinstance(expr, _SUBQUERY_NODES):

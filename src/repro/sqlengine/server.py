@@ -28,7 +28,6 @@ from .builtins import standard_functions
 from .catalog import Catalog
 from .errors import SqlError
 from .executor import ExecutionState, Executor
-from . import planner
 from .locks import EngineLockManager
 from .parser import parse_batch, split_batches
 from .plancache import PlanCache
@@ -103,6 +102,9 @@ class SqlServer:
             self.catalog.create_database(default_database)
         self.default_database = default_database
         self.functions = standard_functions()
+        #: the one statement execution path (parser -> planner -> dagexec);
+        #: repro.difftest.sqlref installs its nested-loop oracle by
+        #: assigning this attribute
         self.executor = Executor(self)
         self.clock = clock or _dt.datetime.now
         self.triggers_enabled = True
@@ -118,9 +120,6 @@ class SqlServer:
         self.batches_executed = 0
         #: parsed-batch cache; epoch-checked against catalog.schema_epoch
         self.plan_cache = PlanCache()
-        #: cost-based DAG executor toggle; False falls back to the legacy
-        #: AST walker (kept for one release as the difftest reference)
-        self.planner_enabled = planner.DEFAULT_ENABLED
         #: count of index-backed scan narrowings (eq/IN/join probes)
         self.index_scans = 0
         #: optional metrics sink (attach_metrics); like the datagram sink,
@@ -195,6 +194,13 @@ class SqlServer:
         detached, every hook is one ``None`` check.
         """
         self.accounting = accounting
+
+    def note_index_scan(self, kind: str) -> None:
+        """Count one index-backed narrowing (plain counter + metrics);
+        ``kind`` is ``eq``, ``in`` or ``join``."""
+        self.index_scans += 1
+        if self._m_index_scans is not None:
+            self._m_index_scans.labels(kind).inc()
 
     def note_plan_ops(self, counts: dict) -> None:
         """Fold one execution's per-operator row counts into the

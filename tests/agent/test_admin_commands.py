@@ -187,8 +187,7 @@ class TestShowAgentCache:
         kind, hits = by_text["select * from stock"]
         # executed 3x: first populates, later runs hit the text entry;
         # the planner memoizes the optimized DAG, so the entry is a plan
-        kind_expected = ("plan" if server.planner_enabled else "parse")
-        assert kind == kind_expected
+        assert kind == "plan"
         assert hits >= 2
         assert all(row[1] in ("plan", "parse") for row in entries.rows)
 

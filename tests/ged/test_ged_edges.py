@@ -3,7 +3,7 @@
 import pytest
 
 from repro.agent import EcaAgent
-from repro.ged import GlobalEventDetector
+from repro.ged import ShardedGed
 from repro.led import Context, ManualClock
 from repro.sqlengine import SqlServer
 
@@ -24,8 +24,8 @@ def site():
 class TestGedContexts:
     def test_chronicle_pairs_in_order(self, site):
         agent, conn = site
-        ged = GlobalEventDetector()
-        ged.register_site("s", agent)
+        ged = ShardedGed()
+        ged.add_site("s", agent)
         imported = ged.import_event("s", "sitedb.ops.localEv")
         ged.define_global_event("pair", f"{imported} AND {imported}")
         hits = []
@@ -37,30 +37,32 @@ class TestGedContexts:
 
     def test_global_temporal_operator(self, site):
         agent, conn = site
-        ged = GlobalEventDetector(clock=ManualClock())
-        ged.register_site("s", agent)
+        ged = ShardedGed()
+        ged.add_site("s", agent)
+        led = ged.shards["s"].led
+        assert isinstance(led.clock, ManualClock)
         imported = ged.import_event("s", "sitedb.ops.localEv")
         ged.define_global_event("late", f"{imported} PLUS [60 sec]")
         hits = []
         ged.add_global_rule("gr", "late", action=hits.append)
         conn.execute("insert events_t values (1)")
-        ged.led.advance_time(59)
+        led.advance_time(59)
         assert hits == []
-        ged.led.advance_time(2)
+        led.advance_time(2)
         assert len(hits) == 1
 
     def test_local_rules_keep_firing_alongside_export(self, site):
         agent, conn = site
-        ged = GlobalEventDetector()
-        ged.register_site("s", agent)
+        ged = ShardedGed()
+        ged.add_site("s", agent)
         ged.import_event("s", "sitedb.ops.localEv")
         result = conn.execute("insert events_t values (1)")
         assert "local" in result.messages  # the site's own rule still runs
 
     def test_constituents_params_preserved_through_forwarding(self, site):
         agent, conn = site
-        ged = GlobalEventDetector()
-        ged.register_site("s", agent)
+        ged = ShardedGed()
+        ged.add_site("s", agent)
         imported = ged.import_event("s", "sitedb.ops.localEv")
         ged.define_global_event("g", f"{imported} OR {imported}")
         seen = []
@@ -70,4 +72,6 @@ class TestGedContexts:
         params = seen[0]
         assert params["table"] == "events_t"
         assert params["operation"] == "insert"
-        assert "snapshot_tables" in params["constituents"][0]
+        assert params["vNo"] == 1
+        assert params["snapshot_tables"] == {
+            "inserted": "sitedb.ops.events_t_inserted"}

@@ -1,10 +1,11 @@
-"""E-EXT2: the Global Event Detector across two site agents."""
+"""E-EXT2: the Global Event Detector across two site agents (the
+single-coordinator shape of :class:`~repro.ged.ShardedGed`)."""
 
 import pytest
 
 from repro.agent import EcaAgent
 from repro.errors import ConfigurationError
-from repro.ged import GlobalEventDetector
+from repro.ged import ShardedGed
 from repro.sqlengine import SqlServer
 
 
@@ -28,9 +29,9 @@ def sites():
 
 @pytest.fixture
 def ged(sites):
-    detector = GlobalEventDetector()
-    detector.register_site("east", sites[0][1])
-    detector.register_site("west", sites[1][1])
+    detector = ShardedGed(sharded=False)
+    detector.add_site("east", sites[0][1])
+    detector.add_site("west", sites[1][1])
     return detector
 
 
@@ -38,7 +39,9 @@ class TestImports:
     def test_import_defines_global_primitive(self, ged):
         name = ged.import_event("east", "eastdb.ops.newTrade")
         assert name == "eastdb.ops.newTrade::east"
-        assert ged.led.has_event(name)
+        assert name in ged.imports
+        ged.define_global_event("again", f"{name} OR {name}")
+        assert ged.shards["east"].led.has_event(name)
 
     def test_import_is_idempotent(self, ged):
         first = ged.import_event("east", "eastdb.ops.newTrade")
@@ -51,7 +54,7 @@ class TestImports:
 
     def test_duplicate_site_rejected(self, ged, sites):
         with pytest.raises(ConfigurationError):
-            ged.register_site("east", sites[0][1])
+            ged.add_site("east", sites[0][1])
 
 
 class TestGlobalDetection:
@@ -98,17 +101,27 @@ class TestGlobalDetection:
         west = ged.import_event("west", "westdb.ops.newTrade")
         ged.define_global_event("both", f"{east} AND {west}")
         sites[1][2].execute("create table dbo.alerts (msg varchar(30))")
+        west_agent = sites[1][1]
         ged.add_global_rule(
-            "gr", "both", sql_site="west",
-            sql="insert westdb.dbo.alerts values ('cross-site event')")
+            "gr", "both",
+            action=lambda occ: west_agent.persistent_manager.execute(
+                west_agent.server.default_database,
+                "insert westdb.dbo.alerts values ('cross-site event')"))
         sites[0][2].execute("insert trades values ('A', 1)")
         sites[1][2].execute("insert trades values ('B', 2)")
         rows = sites[1][2].execute("select * from dbo.alerts").last.rows
         assert rows == [["cross-site event"]]
         assert len(ged.firings) == 1
 
-    def test_rule_requires_action_or_sql(self, ged, sites):
+    def test_rule_requires_a_global_composite(self, ged, sites):
+        # An action is optional (the firing is recorded either way);
+        # the event must be a defined global composite.
         east = ged.import_event("east", "eastdb.ops.newTrade")
         ged.define_global_event("ge", f"{east} OR {east}")
+        ged.add_global_rule("recorded", "ge")
+        sites[0][2].execute("insert trades values ('A', 1)")
+        assert [f.rule_name for f in ged.firings] == ["recorded"]
         with pytest.raises(ConfigurationError):
-            ged.add_global_rule("bad", "ge")
+            ged.add_global_rule("bad", east)
+        with pytest.raises(ConfigurationError):
+            ged.add_global_rule("bad", "noSuchEvent")

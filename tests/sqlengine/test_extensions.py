@@ -99,6 +99,13 @@ class TestUnion:
             "select a into un from t where a = 1 union "
             "select a from t where a = 3")
         assert conn.execute("select count(*) from un").last.scalar() == 2
+        # Regression: UNION ... INTO reported its rowcount on the batch
+        # result but left @@rowcount at the previous statement's value.
+        result = conn.execute(
+            "select a into un3 from t where a < 3 union all "
+            "select a from t where a = 3")
+        assert result.rowcount == 3
+        assert conn.execute("select @@rowcount").last.scalar() == 3
 
     def test_union_in_subquery(self, t):
         rows = t.execute(

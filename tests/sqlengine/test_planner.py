@@ -4,16 +4,19 @@ Each optimizer rule is pinned through its observable surfaces: the
 EXPLAIN rendering of the chosen plan (pushed predicates, index
 selection, join order, cardinality estimates), the plan-memo counters
 (a cached hit must skip parsing AND planning), and — the transparency
-contract — byte-identical results against the legacy AST walker on the
-same server.
+contract — the same rows as the naive nested-loop oracle
+(:class:`repro.difftest.sqlref.NaiveExecutor`) on a twin server fed
+the same statements.
 
-EXPLAIN always plans fresh, so its assertions hold on every
-plan-cache/planner axis combination; tests that exercise the memo or
-the DAG executor force the relevant server flags explicitly.
+EXPLAIN always plans fresh, so its assertions hold with the plan cache
+on or off; tests that exercise the memo force the cache on explicitly.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.difftest.sqlref import NaiveExecutor
 from repro.sqlengine import SqlServer, connect
 
 QUOTES_DDL = (
@@ -22,8 +25,7 @@ ORDERS_DDL = (
     "create table orders (symbol varchar(10), n int)")
 
 
-@pytest.fixture
-def joined(conn):
+def _populate(conn):
     """stock (16 rows), quotes (8 rows), orders (4 rows) — skewed
     cardinalities with a shared ``symbol`` join column."""
     conn.execute(
@@ -39,6 +41,11 @@ def joined(conn):
     for i in range(4):
         conn.execute(f"insert orders values ('S{i}', {10 * i})")
     return conn
+
+
+@pytest.fixture
+def joined(conn):
+    return _populate(conn)
 
 
 def _plan(conn, sql):
@@ -175,9 +182,8 @@ class TestIndexSelection:
 class TestPlanMemo:
     @pytest.fixture
     def hot(self, joined):
-        """Planner and plan cache force-on (the memo needs both)."""
+        """Plan cache force-on (the memo lives in it)."""
         server = joined.endpoint.server
-        server.planner_enabled = True
         server.plan_cache.enabled = True
         server.plan_cache.clear()
         return joined
@@ -215,7 +221,52 @@ class TestPlanMemo:
 
 
 # ----------------------------------------------------------------------
-# transparency: planned results == legacy walker results
+# transparency: planned results == naive-oracle results
+
+class _Twin:
+    """The planned server and the naive oracle, fed the same statements."""
+
+    def __init__(self):
+        oracle = SqlServer(default_database="sentineldb")
+        oracle.executor = NaiveExecutor(oracle)
+        self.planned, self.oracle = (
+            connect(server, user="sharma", database="sentineldb")
+            for server in (SqlServer(default_database="sentineldb"), oracle))
+
+    def execute(self, sql):
+        """Run ``sql`` on both; returns (planned, oracle) batch results."""
+        return self.planned.execute(sql), self.oracle.execute(sql)
+
+    def assert_same(self, sql):
+        """Both servers answer ``sql`` alike: every result set (a DML
+        statement's come from its trigger) has the same columns and the
+        same rows — in sequence under ORDER BY, as a multiset otherwise
+        (an index scan's candidate order is the planner's business)."""
+        planned, oracle = self.execute(sql)
+        assert planned.rowcount == oracle.rowcount
+        assert len(planned.result_sets) == len(oracle.result_sets)
+        for ours, theirs in zip(planned.result_sets, oracle.result_sets):
+            assert ours.columns == theirs.columns
+            if "order by" in sql:
+                assert ours.rows == theirs.rows
+            else:
+                assert _multiset(ours.rows) == _multiset(theirs.rows)
+        return planned
+
+
+def _multiset(rows):
+    return Counter(tuple(row) for row in rows)
+
+
+@pytest.fixture
+def twin():
+    pair = _Twin()
+    for conn in (pair.planned, pair.oracle):
+        _populate(conn)
+    pair.execute("create index ix_q on quotes (symbol)")
+    pair.execute("create index ix_sym on stock (symbol)")
+    return pair
+
 
 BATTERY = [
     "select * from stock",
@@ -229,37 +280,118 @@ BATTERY = [
     "having count(*) > 1",
     "select distinct symbol from stock order by symbol desc",
     "select top 3 * from stock order by qty",
-    "select * from stock where symbol in ('S1', 'S3')",
+    "select * from stock where symbol in ('S3', 'S1')",
+    "select * from stock where symbol = 'S2' and qty in (2, 99)",
+    "select * from stock where qty > 3 and price < 110 and symbol <> 'S4'",
     "select * from stock where qty > (select min(n) from orders)",
     "select s.symbol from stock s where exists "
     "(select * from orders o where o.symbol = s.symbol)",
+    "select s.symbol, s.qty from stock s where not exists "
+    "(select * from quotes q, orders o "
+    "where q.symbol = s.symbol and o.symbol = q.symbol and o.n > s.qty)",
+    "select q.symbol, (select count(*) from stock s "
+    "where s.symbol = q.symbol and s.qty > q.bid - 50) from quotes q",
     "select symbol from stock union select symbol from orders",
+    "select o.n, s.price from orders o, stock s "
+    "where o.symbol = s.symbol and (o.n > 10 or s.qty < 4) order by 2, 1",
+    "select * from stock where 1 = 0",
+    "select * from stock where symbol = null",
 ]
 
 
 class TestPlannedMatchesLegacy:
-    @pytest.mark.parametrize("sql", BATTERY)
-    def test_battery(self, joined, sql):
-        server = joined.endpoint.server
-        joined.execute("create index ix_q on quotes (symbol)")
-        server.planner_enabled = True
-        planned = _rows(joined, sql)
-        server.planner_enabled = False
-        legacy = _rows(joined, sql)
-        assert planned == legacy
+    """Planned vs :class:`NaiveExecutor` (the class keeps the name it
+    had when the in-engine row walker was the reference)."""
 
-    def test_update_and_delete_candidates_match(self, joined):
-        server = joined.endpoint.server
-        joined.execute("create index ix_sym on stock (symbol)")
-        server.planner_enabled = True
-        joined.execute("update stock set qty = qty + 1 "
-                       "where symbol = 'S1'")
-        planned = _rows(joined, "select * from stock order by qty")
-        joined.execute("delete stock where symbol = 'S1'")
-        assert _rows(joined, "select * from stock "
-                             "where symbol = 'S1'") == []
-        server.planner_enabled = False
-        assert _rows(joined, "select * from stock order by qty") != planned
+    @pytest.mark.parametrize("sql", BATTERY)
+    def test_battery(self, twin, sql):
+        twin.assert_same(sql)
+
+    def test_in_list_index_scan_is_item_major(self, twin):
+        """Why unordered SELECTs compare as multisets: the index scan
+        walks the IN items in order, the oracle walks the heap."""
+        planned, oracle = twin.execute(
+            "select qty from stock where symbol in ('S3', 'S1')")
+        assert [r[0] for r in planned.last.rows] == [3, 11, 1, 9]
+        assert [r[0] for r in oracle.last.rows] == [1, 3, 9, 11]
+
+    def test_hint_survives_drop_index_between_cached_executions(self, twin):
+        sql = ("select s.qty, q.bid from stock s, quotes q "
+               "where s.symbol = q.symbol and q.symbol in ('S1', 'S2')")
+        twin.assert_same(sql)
+        twin.assert_same(sql)  # plan-memo hit (when the cache is on)
+        twin.execute("drop index quotes.ix_q")
+        twin.assert_same(sql)
+        twin.execute("drop index stock.ix_sym")
+        twin.assert_same(sql)
+
+    @pytest.mark.parametrize("indexed", ["", "ints (k)", "floats (k)"])
+    def test_mixed_int_float_join_columns(self, twin, indexed):
+        """int = float joins by value whether the planner hashes (same
+        ``num`` family, no index) or probes an index on either side."""
+        twin.execute("create table ints (k int null, tag varchar(5))")
+        twin.execute("create table floats (k float null, tag varchar(5))")
+        twin.execute("insert ints values (1, 'a'), (2, 'b'), (2, 'c'), "
+                     "(null, 'n'), (4, 'd')")
+        twin.execute("insert floats values (1.0, 'x'), (2.0, 'y'), "
+                     "(2.5, 'z'), (null, 'm'), (4.0, 'w'), (4.0, 'v')")
+        if indexed:
+            twin.execute(f"create index ix_k on {indexed}")
+        planned = twin.assert_same(
+            "select i.tag, f.tag from ints i, floats f where i.k = f.k")
+        assert len(planned.last.rows) == 5
+        twin.assert_same(
+            "select f.tag, i.tag from floats f, ints i "
+            "where f.k = i.k and i.k > 1")
+
+    def test_view_in_from(self, twin):
+        twin.execute("create view busy as select symbol, qty from stock "
+                     "where qty > 5")
+        twin.assert_same("select * from busy")
+        twin.assert_same(
+            "select b.symbol, b.qty, q.ask from busy b, quotes q "
+            "where b.symbol = q.symbol and b.symbol in ('S1', 'S7')")
+
+    def test_select_over_transition_tables_in_a_trigger(self, twin):
+        twin.execute(
+            "create trigger stock_upd on stock for update as "
+            "select i.symbol, d.qty, i.qty from inserted i, deleted d "
+            "where i.symbol = d.symbol and i.price = d.price "
+            "select count(*) from inserted "
+            "where qty in (select n from orders)")
+        planned = twin.assert_same(
+            "update stock set qty = qty * 10 where symbol in ('S0', 'S1')")
+        assert len(planned.result_sets[0].rows) == 4
+        twin.execute(
+            "create trigger stock_del on stock for delete as "
+            "select d.symbol, o.n from deleted d, orders o "
+            "where d.symbol = o.symbol")
+        twin.assert_same("delete stock where qty >= 100")
+
+    @pytest.mark.parametrize("dml", [
+        "update stock set qty = qty + 1 where symbol = 'S1'",
+        "update stock set qty = 0 where symbol in ('S5', 'S2', 'S5')",
+        "update stock set symbol = 'S9' where symbol = 'S3' and qty > 3",
+        "update stock set price = price * 2 where qty > 11 or symbol = 'S0'",
+        "update stock set qty = (select max(n) from orders) "
+        "where symbol in (select symbol from orders where n > 10)",
+        "update stock set qty = 1 where symbol = 'nope'",
+        "delete stock where symbol = 'S1'",
+        "delete stock where symbol in ('S7', 'S0') and price > 100",
+        "delete stock where qty < 4",
+        "delete stock where symbol = 'S2' or symbol = 'S3'",
+        "delete stock",
+    ])
+    def test_update_and_delete_candidates_match(self, twin, dml):
+        """A DML statement touches the same rows, leaves the same heap
+        (content and order) and reports the same rowcount on both."""
+        planned = twin.assert_same(dml)
+        assert planned.rowcount == twin.oracle.execute(
+            "select @@rowcount").last.scalar()
+        twin.assert_same("select * from stock order by symbol, price")
+        ours, theirs = twin.execute("select * from stock")
+        assert ours.last.rows == theirs.last.rows
+        twin.assert_same("select * from stock where symbol = 'S1'")
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ Three sub-commands over :mod:`repro.difftest` (all run by the CI
 
 ``sweep`` (default)
     Generate ``--seeds`` scenarios, execute each on the full stack with
-    the plan cache on and off and the DAG-executor planner on and off
-    (against the legacy AST walker), the reference Snoop interpreter,
-    and the baseline oracles, and cross-check every surface.  Also replays the
+    the plan cache on and off and once more on the naive SQL oracle
+    (``repro.difftest.sqlref``), the reference Snoop interpreter, and
+    the baseline oracles, and cross-check every surface.  Also replays the
     committed regression corpus and runs a seeded chaos sweep.  On any
     divergence the failing seed is echoed, the scenario is shrunk, and
     the minimised reproduction is written to ``--artifacts`` for upload.
@@ -95,19 +95,19 @@ ARTIFACTS_DIR = REPO_ROOT / "difftest-artifacts"
 def _check_scenario(scenario) -> list:
     """Full cross-check of one scenario; returns divergences.
 
-    The stack leg sweeps both runner axes: plan cache on/off and the
-    DAG-executor planner on/off (the legacy AST walker is the
-    semantics reference the planner must be indistinguishable from).
+    The stack leg runs three ways: plan cache on, plan cache off, and
+    on the naive SQL oracle (the nested-loop executor the planner and
+    DAG executor must be indistinguishable from).
     """
     on = run_stack(scenario, plan_cache=True)
     off = run_stack(scenario, plan_cache=False)
-    legacy = run_stack(scenario, plan_cache=True, planner=False)
+    naive = run_stack(scenario, plan_cache=True, sql_reference=True)
     reference = run_reference(scenario)
     baseline = run_baselines(scenario)
     divergences = compare_runs(scenario, on, reference, baseline)
     divergences += compare_stack_runs(on, off)
     divergences += compare_stack_runs(
-        on, legacy, label_a="planner-on", label_b="planner-off")
+        on, naive, label_a="planned", label_b="sql-reference")
     return divergences
 
 
@@ -166,7 +166,7 @@ def cmd_sweep(args) -> int:
         print(f"difftest: {problems} failing sweep item(s)")
         return 1
     print(f"difftest: clean ({args.seeds} seeds, cache on+off, "
-          f"planner on+off, {args.chaos} chaos schedules, "
+          f"planned vs SQL reference, {args.chaos} chaos schedules, "
           f"corpus replayed)")
     return 0
 

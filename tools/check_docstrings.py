@@ -33,13 +33,13 @@ DEFAULT_SURFACE = [
     "src/repro/sqlengine/locks.py",
     "src/repro/sqlengine/planner.py",
     "src/repro/sqlengine/dagexec.py",
+    "src/repro/difftest/sqlref.py",
     "src/repro/faults/__init__.py",
     "src/repro/faults/injector.py",
     "src/repro/faults/retry.py",
     "src/repro/obs/provenance.py",
     "src/repro/obs/export.py",
     "src/repro/ged/__init__.py",
-    "src/repro/ged/global_detector.py",
     "src/repro/ged/partitioning.py",
     "src/repro/ged/transport.py",
     "src/repro/ged/sharded.py",

@@ -6,15 +6,13 @@ Reads the ``BENCH_hotpath.json`` artifact produced by
 same repeated batch with the plan cache off vs on.  The cached path must
 be at least ``HOTPATH_RATIO`` times faster (default 1.3x) — catching any
 change that re-introduces per-execution parsing onto the hot path.  The
-indexed point-select series is also required to beat the full scan, and
-the planned-DAG three-table join must be at least ``PLANNER_RATIO``
-times faster (default 1.5x) than the legacy AST walker at the median.
+indexed point-select series is also required to beat the full scan.
 
 Usage::
 
     python tools/check_hotpath.py                  # ./BENCH_hotpath.json
     python tools/check_hotpath.py path/to/BENCH_hotpath.json
-    HOTPATH_RATIO=1.1 PLANNER_RATIO=1.2 python tools/check_hotpath.py
+    HOTPATH_RATIO=1.1 python tools/check_hotpath.py
 """
 
 from __future__ import annotations
@@ -31,18 +29,12 @@ CACHE_OFF_SERIES = "1 repeated batch, plan cache off"
 CACHE_ON_SERIES = "2 repeated batch, plan cache on"
 SCAN_SERIES = "3 point select, full scan"
 INDEX_SERIES = "4 point select, indexed"
-JOIN_LEGACY_SERIES = "9 three-table join, legacy walker"
-JOIN_PLANNED_SERIES = "10 three-table join, planned DAG"
 
 #: Default floor for the cache-off/cache-on median-latency ratio.
 DEFAULT_RATIO = 1.3
 
-#: Default floor for the legacy-walker/planned-DAG join p50 ratio.
-DEFAULT_PLANNER_RATIO = 1.5
 
-
-def check(path: Path, min_ratio: float,
-          min_planner_ratio: float = DEFAULT_PLANNER_RATIO) -> list[str]:
+def check(path: Path, min_ratio: float) -> list[str]:
     """Validate one hotpath artifact; returns the list of problems."""
     if not path.exists():
         return [f"{path}: artifact not found (run benchmarks/"
@@ -51,7 +43,7 @@ def check(path: Path, min_ratio: float,
     series = payload.get("series", {})
     problems = []
     for label in (CACHE_OFF_SERIES, CACHE_ON_SERIES, SCAN_SERIES,
-                  INDEX_SERIES, JOIN_LEGACY_SERIES, JOIN_PLANNED_SERIES):
+                  INDEX_SERIES):
         if label not in series:
             problems.append(f"{path}: series {label!r} missing")
     if problems:
@@ -76,20 +68,6 @@ def check(path: Path, min_ratio: float,
         problems.append(
             f"{path}: indexed point select ({indexed}ms p50) does not beat "
             f"the full scan ({scan}ms p50)")
-    legacy = series[JOIN_LEGACY_SERIES]["p50"]
-    planned = series[JOIN_PLANNED_SERIES]["p50"]
-    if planned <= 0:
-        problems.append(f"{path}: planned join p50 is {planned}; "
-                        "artifact corrupt")
-        return problems
-    planner_ratio = legacy / planned
-    print(f"planner join speedup: {legacy:.4f}ms / {planned:.4f}ms = "
-          f"{planner_ratio:.2f}x (floor {min_planner_ratio:.2f}x)")
-    if planner_ratio < min_planner_ratio:
-        problems.append(
-            f"{path}: planned three-table join p50 speedup is "
-            f"{planner_ratio:.2f}x, under the {min_planner_ratio:.2f}x "
-            "floor")
     return problems
 
 
@@ -97,9 +75,7 @@ def main(argv: list[str]) -> int:
     """CLI entry point; returns the process exit status."""
     path = Path(argv[0]) if argv else REPO_ROOT / "BENCH_hotpath.json"
     min_ratio = float(os.environ.get("HOTPATH_RATIO", DEFAULT_RATIO))
-    min_planner_ratio = float(
-        os.environ.get("PLANNER_RATIO", DEFAULT_PLANNER_RATIO))
-    problems = check(path, min_ratio, min_planner_ratio)
+    problems = check(path, min_ratio)
     for problem in problems:
         print(problem)
     if problems:
