@@ -22,6 +22,8 @@ Assembly::
     conn.execute("insert stock values ('IBM', 101.5)")   # -> "stock added"
 """
 
+from repro.obs.tracing import PipelineTrace, SpanRecord
+
 from .action_handler import ActionHandler
 from .admin import AgentAdmin
 from .agent import EcaAgent
@@ -45,7 +47,6 @@ from .notifier import (
     UdpChannel,
 )
 from .persistence import PersistentManager
-from .trace import PipelineTrace, SpanRecord, TraceRecord
 
 __all__ = [
     "ActionHandler",
@@ -70,7 +71,6 @@ __all__ = [
     "PrimitiveEventDef",
     "SpanRecord",
     "SynchronousChannel",
-    "TraceRecord",
     "ThreadedChannel",
     "UdpChannel",
     "expand_name",

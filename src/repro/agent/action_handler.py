@@ -32,11 +32,11 @@ from repro.faults import POINT_ACTION_RUN
 from repro.led.detector import RuleFiring
 from repro.led.occurrences import Occurrence
 from repro.led.rules import Coupling, Rule
+from repro.obs.tracing import FIG4_ACTION_RUN
 
 from .codegen import sys_context_refresh_sql
 from .messages import NotiStr
 from .model import EcaTriggerDef
-from .trace import FIG4_ACTION_RUN
 
 
 @dataclass
@@ -133,9 +133,9 @@ class ActionHandler:
         SybaseAction').
 
         Causal context crosses the thread boundary explicitly: the
-        dispatching thread captures its trace context, ambient journal
-        parents, and command accounting frame *before* spawning, and the
-        worker re-activates all three — so a detached action's span
+        dispatching thread captures its ambient state (trace context,
+        journal parents, the paying session's identity) *before*
+        spawning, and the worker adopts it — so a detached action's span
         parents into the originating command's trace, its journal
         records link to the triggering detection, and its cost still
         charges the triggering session.
@@ -143,19 +143,11 @@ class ActionHandler:
         runtime = self.agent.runtime_for_rule(rule.name)
         if runtime is None:
             return
-        agent = self.agent
-        ctx = agent.trace.current_context()
-        journal = agent.journal
-        parents = (journal.ambient_parents()
-                   if journal is not None and journal.enabled else ())
-        origin = agent.accounting.command_frame()
+        ambient = self.agent.ambient
+        handoff = ambient.capture()
 
         def worker() -> None:
-            with ExitStack() as stack:
-                stack.enter_context(agent.trace.activate(ctx))
-                if parents:
-                    stack.enter_context(journal.inherit(parents))
-                stack.enter_context(agent.accounting.inherit_scope(origin))
+            with ambient.adopt(handoff):
                 record = self.run_action(runtime, occurrence)
             firing = RuleFiring(
                 rule_name=rule.name,
@@ -171,8 +163,11 @@ class ActionHandler:
         thread = threading.Thread(
             target=worker, name=f"eca-action-{rule.name}", daemon=True)
         with self._lock:
+            # Keep only threads join_detached could still have to wait
+            # for; a finished one per firing would otherwise pile up.
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
-        thread.start()
+            thread.start()
 
     def join_detached(self, timeout: float = 5.0) -> None:
         """Wait for all outstanding detached action threads."""
@@ -279,24 +274,16 @@ class ActionHandler:
         journaled = journal is not None and journal.enabled
         if timed or journaled:
             start = time.perf_counter()
-        trace = self.agent.trace
-        span = (trace.span(FIG4_ACTION_RUN, trigger.internal)
-                if trace.enabled else None)
         try:
             with ExitStack() as stack:
                 for lock in locks:
                     stack.enter_context(lock)
-                if span is not None:
-                    with span:
-                        result = self.agent.server.execute(
-                            script, session, params=params)
-                        # Figure 16: results flow back to the client
-                        # through the gateway (routing is part of the
-                        # action span).
-                        self._finish(record, result)
-                else:
+                with self.agent.trace.span(
+                        FIG4_ACTION_RUN, trigger.internal):
                     result = self.agent.server.execute(
                         script, session, params=params)
+                    # Figure 16: results flow back to the client through
+                    # the gateway (routing is part of the action span).
                     self._finish(record, result)
         except Exception as exc:  # record and surface via the LED policy
             record.error = exc

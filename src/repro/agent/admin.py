@@ -6,69 +6,14 @@ result sets and messages, so *any* client that can issue SQL can inspect
 the agent — without touching the DBMS engine (the paper's core
 transparency constraint).
 
-Commands:
-
-- ``show agent stats [top [N]]`` — two result sets: counters/gauges,
-  then latency histogram summaries (count, mean, p50, p95, p99, max in
-  milliseconds); ``top N`` sorts by value/count and keeps the N largest
-  rows of each set;
-- ``show agent top [rules|sessions] [N]`` — the N most expensive rules
-  and/or sessions from the resource-accounting plane (rows scanned,
-  cache hits, events, actions, wall time);
-- ``show agent slow [N]`` — the flight recorder's most recent N slow
-  operations (arm with ``set agent slowlog <ms>``), each with its span
-  and provenance slice sizes and the EXPLAIN rendering of the offending
-  statement's optimized plan (NULL when nothing in it is plannable);
-- ``show agent health`` — the watchdog's ok/degraded/critical report:
-  per-rule findings plus the sampled values they were judged on;
-- ``show agent trace [N]`` — the most recent N span records (default 50);
-- ``show agent trace <trace_id>`` — the full cross-thread span tree of
-  one stored trace (queue-wait and per-action spans included), looked up
-  by the trace id stamped on telemetry lines and slow-op records;
-- ``trace next <N>`` — arm tracing for the next N client commands, then
-  restore the previous on/off state (bounded causal sampling);
-- ``show agent events [N]`` — the most recent N provenance records as
-  lineage trees (default 20);
-- ``show agent graph`` — the full LED event graph: every node, its
-  operator kind, children, active contexts, rules, and fire counts;
-- ``show agent status`` — observability flags and buffer sizes;
-- ``show agent faults`` — armed fault-injection specs, fire counts, and
-  the active retry policy (the robustness layer's knobs);
-- ``show agent cache [N]`` — the server's statement-plan cache counters
-  (hits, misses, evictions, epoch invalidations, hit rate, plan-memo
-  hits/misses), index-scan and notification-coalescing totals, the N
-  hottest cached batches (each flagged ``plan`` when a DAG plan memo is
-  live at the current schema epoch, ``parse`` when only the parsed
-  statements are cached, with its per-entry hit count), then the N
-  busiest table indexes;
-- ``reset agent cache`` — clear the plan cache and zero its counters
-  (the hot-path equivalent of ``reset agent stats``);
-- ``explain trigger <name>`` — the trigger's rule attributes plus its
-  event subgraph with per-node stats (fires, consumed occurrences, p95
-  propagation latency) from the provenance journal;
-- ``reset agent stats|trace|provenance`` — zero the registry / clear the
-  span buffer / clear the journal;
-- ``reset agent accounting`` — drop the per-session/per-rule totals;
-- ``reset agent slow`` — clear the flight recorder's ring;
-- ``set agent stats|trace|provenance on|off`` — toggle each sink at
-  runtime;
-- ``set agent accounting on|off`` — toggle the resource-accounting
-  plane (on by default; plain int adds per hook);
-- ``set agent slowlog <ms>|off`` — arm the flight recorder at a
-  threshold in milliseconds (fractions allowed), or disarm it;
-- ``set agent faults on|off`` — re-arm / disarm the fault injector
-  without forgetting its plan;
-- ``show agent sessions [N]`` — the newest N gateway sessions with their
-  scheduling state, queue depth, and per-session command counters;
-- ``show agent workers`` — the gateway worker pool (size, live threads,
-  completed commands) and the engine lock manager's batch counters;
-- ``set agent workers <N>`` — resize the worker pool by replacement
-  (0 removes it: commands run inline on the client's thread);
-- ``show agent sites`` — sharded-GED membership: per-site status, owned
-  partition sizes, routed/replayed counters, and router totals (only
-  when this agent participates in a :class:`~repro.ged.ShardedGed`);
-- ``export agent telemetry`` — snapshot metrics + spans + provenance
-  into the attached :class:`~repro.obs.TelemetryExporter`'s JSONL file.
+The surface is declared exactly once, in :data:`COMMANDS` at the bottom
+of this module: one row per command — its usage text, its argument
+pattern (derived from the usage unless the command takes more than an
+optional ``[N]``), that ``[N]``'s default and clamp, and the view
+function that answers it.  The matcher, the unknown-command usage error
+and the ``[N]`` validation are all derived from that table, and
+``docs/OPERATORS.md`` §1 describes each row for operators (a test keeps
+the two, and the Language Filter's admin prefix, in step).
 
 Numeric ``[N]`` arguments are validated: a non-numeric value yields a
 one-row error result set (not a raised exception), and values are
@@ -78,77 +23,16 @@ clamped to the underlying buffer's capacity.
 from __future__ import annotations
 
 import re
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.obs.metrics import HistogramSummary
+from repro.obs.provenance import KIND_ACTION
 from repro.sqlengine.results import BatchResult, ResultSet
 
 from .errors import AgentError
 from .naming import expand_name
 
-_USAGE = (
-    "unknown agent command; expected one of: "
-    "show agent stats [top [N]] | show agent trace [N|<trace_id>] | "
-    "trace next <N> | show agent events [N] | "
-    "show agent graph | show agent status | show agent faults | "
-    "show agent cache [N] | "
-    "show agent top [rules|sessions] [N] | show agent slow [N] | "
-    "show agent health | show agent sessions [N] | show agent workers | "
-    "show agent sites | "
-    "explain trigger <name> | "
-    "reset agent stats | reset agent trace | reset agent provenance | "
-    "reset agent cache | reset agent accounting | reset agent slow | "
-    "set agent stats on|off | set agent trace on|off | "
-    "set agent provenance on|off | set agent faults on|off | "
-    "set agent accounting on|off | set agent slowlog <ms>|off | "
-    "set agent workers <N> | export agent telemetry"
-)
-
-_COMMAND = re.compile(
-    r"^\s*(?:"
-    r"(?P<show_stats>show\s+agent\s+stats"
-    r"(?:\s+(?P<stats_top>top)(?:\s+(?P<stats_n>[^\s;]+))?)?)"
-    r"|(?P<show_trace>show\s+agent\s+trace(?:\s+(?P<trace_n>[^\s;]+))?)"
-    r"|(?P<trace_next>trace\s+next(?:\s+(?P<trace_next_n>[^\s;]+))?)"
-    r"|(?P<show_events>show\s+agent\s+events(?:\s+(?P<events_n>[^\s;]+))?)"
-    r"|(?P<show_graph>show\s+agent\s+graph)"
-    r"|(?P<show_status>show\s+agent\s+status)"
-    r"|(?P<show_faults>show\s+agent\s+faults)"
-    r"|(?P<show_cache>show\s+agent\s+cache(?:\s+(?P<cache_n>[^\s;]+))?)"
-    r"|(?P<show_top>show\s+agent\s+top"
-    r"(?:\s+(?P<top_scope>rules|sessions))?(?:\s+(?P<top_n>[^\s;]+))?)"
-    r"|(?P<show_slow>show\s+agent\s+slow(?:\s+(?P<slow_n>[^\s;]+))?)"
-    r"|(?P<show_health>show\s+agent\s+health)"
-    r"|(?P<show_sessions>show\s+agent\s+sessions(?:\s+(?P<sessions_n>[^\s;]+))?)"
-    r"|(?P<show_workers>show\s+agent\s+workers)"
-    r"|(?P<show_sites>show\s+agent\s+sites)"
-    r"|explain\s+trigger\s+(?P<explain_name>[A-Za-z_#][\w.$#]*)"
-    r"|(?P<reset_stats>reset\s+agent\s+stats)"
-    r"|(?P<reset_trace>reset\s+agent\s+trace)"
-    r"|(?P<reset_prov>reset\s+agent\s+provenance)"
-    r"|(?P<reset_cache>reset\s+agent\s+cache)"
-    r"|(?P<reset_accounting>reset\s+agent\s+accounting)"
-    r"|(?P<reset_slow>reset\s+agent\s+slow)"
-    r"|set\s+agent\s+slowlog\s+(?P<slowlog_value>[^\s;]+)"
-    r"|set\s+agent\s+workers\s+(?P<workers_value>[^\s;]+)"
-    r"|set\s+agent\s+(?P<set_target>stats|trace|provenance|faults"
-    r"|accounting)\s+(?P<set_value>on|off)"
-    r"|(?P<export>export\s+agent\s+telemetry)"
-    r")\s*;?\s*$",
-    re.IGNORECASE,
-)
-
-#: Default row count for ``show agent trace``.
-DEFAULT_TRACE_ROWS = 50
-#: Default row count for ``show agent events``.
-DEFAULT_EVENT_ROWS = 20
-#: Default row count for the index listing of ``show agent cache``.
-DEFAULT_INDEX_ROWS = 20
-#: Default row count for ``show agent top`` and ``show agent stats top``.
-DEFAULT_TOP_ROWS = 10
-#: Default row count for ``show agent slow``.
-DEFAULT_SLOW_ROWS = 10
-#: Default row count for ``show agent sessions``.
-DEFAULT_SESSION_ROWS = 20
 #: Hard ceiling for ``set agent workers`` (threads are not free).
 MAX_WORKERS = 128
 
@@ -165,16 +49,6 @@ _NODE_KINDS = {
     "PeriodicStarNode": "P*",
     "PlusNode": "PLUS",
 }
-
-
-def _is_int(text: str) -> bool:
-    """Whether a ``show agent trace`` argument is a row count (numeric)
-    rather than a trace id."""
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
 
 
 #: Max characters of cached-statement text shown by ``show agent cache``.
@@ -207,95 +81,21 @@ class AgentAdmin:
     # entry point
 
     def handle(self, sql: str, session=None) -> BatchResult:
-        match = _COMMAND.match(sql)
-        if match is None:
-            raise AgentError(_USAGE)
-        if match.group("show_stats"):
-            if match.group("stats_top") is None:
-                return self._show_stats()
-            count, error = self._parse_count(
-                match.group("stats_n"), DEFAULT_TOP_ROWS,
-                max(1, self._count_metric_rows()), "show agent stats top")
-            return error if error is not None else self._show_stats(count)
-        if match.group("show_trace"):
-            arg = match.group("trace_n")
-            if arg is not None and not _is_int(arg):
-                return self._show_trace_tree(arg)
-            count, error = self._parse_count(
-                arg, DEFAULT_TRACE_ROWS,
-                self.agent.trace.max_records, "show agent trace")
-            return error if error is not None else self._show_trace(count)
-        if match.group("trace_next"):
-            return self._trace_next(match.group("trace_next_n"))
-        if match.group("show_events"):
-            count, error = self._parse_count(
-                match.group("events_n"), DEFAULT_EVENT_ROWS,
-                self.agent.journal.capacity, "show agent events")
-            return error if error is not None else self._show_events(count)
-        if match.group("show_graph"):
-            return self._show_graph()
-        if match.group("show_status"):
-            return self._show_status()
-        if match.group("show_faults"):
-            return self._show_faults()
-        if match.group("show_cache"):
-            count, error = self._parse_count(
-                match.group("cache_n"), DEFAULT_INDEX_ROWS,
-                max(1, self._count_indexes(),
-                    self.agent.server.plan_cache.stats()["size"]),
-                "show agent cache")
-            return error if error is not None else self._show_cache(count)
-        if match.group("show_top"):
-            scope = (match.group("top_scope") or "").lower()
-            accounting = self.agent.accounting
-            tracked = max(
-                accounting.rule_count() if scope != "sessions" else 0,
-                accounting.session_count() if scope != "rules" else 0)
-            count, error = self._parse_count(
-                match.group("top_n"), DEFAULT_TOP_ROWS,
-                max(1, tracked), "show agent top")
-            return error if error is not None else self._show_top(
-                scope, count)
-        if match.group("show_slow"):
-            count, error = self._parse_count(
-                match.group("slow_n"), DEFAULT_SLOW_ROWS,
-                self.agent.flightrec.capacity, "show agent slow")
-            return error if error is not None else self._show_slow(count)
-        if match.group("show_health"):
-            return self._show_health()
-        if match.group("show_sessions"):
-            count, error = self._parse_count(
-                match.group("sessions_n"), DEFAULT_SESSION_ROWS,
-                max(1, len(self.agent.gateway.session_snapshots())),
-                "show agent sessions")
-            return error if error is not None else self._show_sessions(count)
-        if match.group("show_workers"):
-            return self._show_workers()
-        if match.group("show_sites"):
-            return self._show_sites()
-        if match.group("explain_name"):
-            return self._explain_trigger(match.group("explain_name"), session)
-        if match.group("reset_stats"):
-            return self._reset_stats()
-        if match.group("reset_trace"):
-            return self._reset_trace()
-        if match.group("reset_prov"):
-            return self._reset_provenance()
-        if match.group("reset_cache"):
-            return self._reset_cache()
-        if match.group("reset_accounting"):
-            return self._reset_accounting()
-        if match.group("reset_slow"):
-            return self._reset_slow()
-        if match.group("export"):
-            return self._export_telemetry()
-        if match.group("slowlog_value") is not None:
-            return self._set_slowlog(match.group("slowlog_value"))
-        if match.group("workers_value") is not None:
-            return self._set_workers(match.group("workers_value"))
-        target = match.group("set_target").lower()
-        value = match.group("set_value").lower() == "on"
-        return self._set_flag(target, value)
+        for matcher, command in _MATCHERS:
+            match = matcher.match(sql)
+            if match is None:
+                continue
+            groups = match.groupdict()
+            if command.rows is not None:
+                label, default, capacity = command.rows
+                groups["count"], error = self._parse_count(
+                    groups.pop("n"), default, capacity(self, groups), label)
+                if error is not None:
+                    return error
+            if command.session:
+                groups["session"] = session
+            return command.view(self, **groups)
+        raise AgentError(_USAGE)
 
     @staticmethod
     def _parse_count(text: str | None, default: int, capacity: int,
@@ -324,7 +124,9 @@ class AgentAdmin:
             len(family.children())
             for family in self.agent.metrics.families())
 
-    def _show_stats(self, top: int | None = None) -> BatchResult:
+    def _show_stats(self, count: int, top: str | None) -> BatchResult:
+        """Every metric row, or with the ``top`` keyword only the
+        ``count`` busiest of each result set."""
         counters = ResultSet(columns=["metric", "labels", "value"])
         latency = ResultSet(columns=[
             "metric", "labels", "count",
@@ -350,14 +152,23 @@ class AgentAdmin:
             # count (ties break on name/labels for determinism).
             counters.rows.sort(key=lambda row: (-row[2], row[0], row[1]))
             latency.rows.sort(key=lambda row: (-row[2], row[0], row[1]))
-            counters.rows = counters.rows[:top]
-            latency.rows = latency.rows[:top]
+            counters.rows = counters.rows[:count]
+            latency.rows = latency.rows[:count]
         result = BatchResult(result_sets=[counters, latency])
         if not self.agent.metrics.enabled:
             result.messages.append(
                 "Agent stats collection is off; enable with "
                 "'set agent stats on'.")
         return result
+
+    def _show_trace_arg(self, n: str | None) -> BatchResult:
+        """``show agent trace``'s argument is a row count when numeric,
+        else the id of a stored trace to render as a tree."""
+        count, error = self._parse_count(
+            n, 50, self.agent.trace.capacity, "show agent trace")
+        if error is not None:
+            return self._show_trace_tree(n)
+        return self._show_trace(count)
 
     def _show_trace(self, count: int) -> BatchResult:
         trace = self.agent.trace
@@ -408,16 +219,16 @@ class AgentAdmin:
             result_sets=[rows],
             messages=[f"Trace {trace_id}: {len(spans)} span(s)."])
 
-    def _trace_next(self, text: str | None) -> BatchResult:
+    def _trace_next(self, n: str | None) -> BatchResult:
         """Arm the ``trace next <N>`` sampling window."""
-        if text is None:
+        if n is None:
             return _error_result(
                 "'trace next' expects a command count, e.g. 'trace next 5'")
         try:
-            count = int(text)
+            count = int(n)
         except ValueError:
             return _error_result(
-                f"'trace next' expects a command count, got {text!r}")
+                f"'trace next' expects a command count, got {n!r}")
         if count < 1:
             return _error_result(
                 f"'trace next' expects a count >= 1, got {count}")
@@ -496,8 +307,8 @@ class AgentAdmin:
                 ["trace", "on" if trace.enabled else "off"],
                 ["provenance", "on" if journal.enabled else "off"],
                 ["metric_families", len(metrics.families())],
-                ["trace_records", len(trace.records)],
-                ["trace_capacity", trace.max_records],
+                ["trace_records", len(trace)],
+                ["trace_capacity", trace.capacity],
                 ["trace_sampling", trace.sampling_remaining()],
                 ["traces_stored", trace.trace_count()],
                 ["journal_records", len(journal)],
@@ -624,8 +435,9 @@ class AgentAdmin:
     # ------------------------------------------------------------------
     # health plane
 
-    def _show_top(self, scope: str, count: int) -> BatchResult:
+    def _show_top(self, scope: str | None, count: int) -> BatchResult:
         """The most expensive rules and/or sessions by wall time."""
+        scope = (scope or "").lower()
         accounting = self.agent.accounting
         sets: list[ResultSet] = []
         if scope in ("", "rules"):
@@ -771,8 +583,6 @@ class AgentAdmin:
         """The trace id of the trigger's most recent journaled action —
         the handle an operator feeds to ``show agent trace <id>`` to see
         the full causal tree behind the last firing."""
-        from repro.obs.provenance import KIND_ACTION
-
         key = trigger.internal.lower()
         for record in reversed(self.agent.journal.snapshot()):
             if record.kind == KIND_ACTION and record.name.lower() == key:
@@ -827,32 +637,6 @@ class AgentAdmin:
 
     # ------------------------------------------------------------------
     # reset / set / export
-
-    def _reset_stats(self) -> BatchResult:
-        self.agent.metrics.reset()
-        return BatchResult(messages=["Agent statistics reset."])
-
-    def _reset_trace(self) -> BatchResult:
-        self.agent.trace.clear()
-        return BatchResult(messages=["Agent trace cleared."])
-
-    def _reset_provenance(self) -> BatchResult:
-        self.agent.journal.clear()
-        return BatchResult(messages=["Agent provenance journal cleared."])
-
-    def _reset_cache(self) -> BatchResult:
-        server = self.agent.server
-        server.plan_cache.clear()
-        server.index_scans = 0
-        return BatchResult(messages=["Agent plan cache cleared."])
-
-    def _reset_accounting(self) -> BatchResult:
-        self.agent.accounting.reset()
-        return BatchResult(messages=["Agent accounting totals reset."])
-
-    def _reset_slow(self) -> BatchResult:
-        self.agent.flightrec.clear()
-        return BatchResult(messages=["Agent slow-op recorder cleared."])
 
     def _set_slowlog(self, value: str) -> BatchResult:
         flightrec = self.agent.flightrec
@@ -977,7 +761,8 @@ class AgentAdmin:
             f"Telemetry snapshot written: {lines} lines to "
             f"{self.agent.exporter.path}."])
 
-    def _set_flag(self, target: str, value: bool) -> BatchResult:
+    def _set_flag(self, target: str, value: str) -> BatchResult:
+        value = value.lower() == "on"
         if target == "stats":
             self.agent.metrics.enabled = value
         elif target == "provenance":
@@ -1010,3 +795,132 @@ def _render_labels(labels: dict[str, str]) -> str:
     if not labels:
         return ""
     return ",".join(f"{key}={value}" for key, value in labels.items())
+
+
+
+# ----------------------------------------------------------------------
+# the command registry
+
+#: One argument token (``;`` ends the command, so it never belongs to it).
+_ARG = r"[^\s;]+"
+#: An optional trailing ``[N]`` argument, captured raw as group ``n``.
+_N = rf"(?:\s+(?P<n>{_ARG}))?"
+
+
+class Command(NamedTuple):
+    """One operator command — its only declaration."""
+
+    #: how the command is spelled in the usage error and OPERATORS.md §1
+    usage: str
+    #: called as ``view(admin, **named groups of the pattern)``
+    view: Callable
+    #: regex for the command's text; ``None``: the usage's literal words
+    #: (followed by the optional ``[N]`` when ``rows`` is set)
+    pattern: str | None = None
+    #: ``(error label, default, capacity(admin, groups))`` of an optional
+    #: ``[N]``: group ``n`` reaches the view validated, as ``count``
+    rows: tuple | None = None
+    #: pass the issuing session to the view as ``session``
+    session: bool = False
+
+
+def _reset(clear, message: str) -> Callable:
+    """View of a ``reset agent <sink>`` command."""
+
+    def view(admin) -> BatchResult:
+        clear(admin.agent)
+        return BatchResult(messages=[message])
+
+    return view
+
+
+def _clear_plan_cache(agent) -> None:
+    agent.server.plan_cache.clear()
+    agent.server.index_scans = 0
+
+
+def _tracked_rows(admin, groups) -> int:
+    """``show agent top``'s clamp: the rows its chosen scope can list."""
+    scope = (groups["scope"] or "").lower()
+    accounting = admin.agent.accounting
+    return max(
+        1,
+        accounting.rule_count() if scope != "sessions" else 0,
+        accounting.session_count() if scope != "rules" else 0)
+
+
+#: The admin surface, in the order the usage error lists it.
+COMMANDS: tuple[Command, ...] = (
+    Command("show agent stats [top [N]]", AgentAdmin._show_stats,
+            rf"show\s+agent\s+stats(?:\s+(?P<top>top){_N})?",
+            rows=("show agent stats top", 10, lambda admin, groups: max(
+                1, admin._count_metric_rows()))),
+    Command("show agent trace [N|<trace_id>]", AgentAdmin._show_trace_arg,
+            rf"show\s+agent\s+trace{_N}"),
+    Command("trace next <N>", AgentAdmin._trace_next, rf"trace\s+next{_N}"),
+    Command("show agent events [N]", AgentAdmin._show_events,
+            rows=("show agent events", 20,
+                  lambda admin, groups: admin.agent.journal.capacity)),
+    Command("show agent graph", AgentAdmin._show_graph),
+    Command("show agent status", AgentAdmin._show_status),
+    Command("show agent faults", AgentAdmin._show_faults),
+    Command("show agent cache [N]", AgentAdmin._show_cache,
+            rows=("show agent cache", 20, lambda admin, groups: max(
+                1, admin._count_indexes(),
+                admin.agent.server.plan_cache.stats()["size"]))),
+    Command("show agent top [rules|sessions] [N]", AgentAdmin._show_top,
+            rf"show\s+agent\s+top(?:\s+(?P<scope>rules|sessions))?{_N}",
+            rows=("show agent top", 10, _tracked_rows)),
+    Command("show agent slow [N]", AgentAdmin._show_slow,
+            rows=("show agent slow", 10,
+                  lambda admin, groups: admin.agent.flightrec.capacity)),
+    Command("show agent health", AgentAdmin._show_health),
+    Command("show agent sessions [N]", AgentAdmin._show_sessions,
+            rows=("show agent sessions", 20, lambda admin, groups: max(
+                1, len(admin.agent.gateway.session_snapshots())))),
+    Command("show agent workers", AgentAdmin._show_workers),
+    Command("show agent sites", AgentAdmin._show_sites),
+    Command("explain trigger <name>", AgentAdmin._explain_trigger,
+            r"explain\s+trigger\s+(?P<name>[A-Za-z_#][\w.$#]*)",
+            session=True),
+    Command("reset agent stats", _reset(
+        lambda agent: agent.metrics.reset(), "Agent statistics reset.")),
+    Command("reset agent trace", _reset(
+        lambda agent: agent.trace.clear(), "Agent trace cleared.")),
+    Command("reset agent provenance", _reset(
+        lambda agent: agent.journal.clear(),
+        "Agent provenance journal cleared.")),
+    Command("reset agent cache", _reset(
+        _clear_plan_cache, "Agent plan cache cleared.")),
+    Command("reset agent accounting", _reset(
+        lambda agent: agent.accounting.reset(),
+        "Agent accounting totals reset.")),
+    Command("reset agent slow", _reset(
+        lambda agent: agent.flightrec.clear(),
+        "Agent slow-op recorder cleared.")),
+    *(Command(f"set agent {target} on|off",
+              partial(AgentAdmin._set_flag, target=target),
+              rf"set\s+agent\s+{target}\s+(?P<value>on|off)")
+      for target in ("stats", "trace", "provenance", "faults", "accounting")),
+    Command("set agent slowlog <ms>|off", AgentAdmin._set_slowlog,
+            rf"set\s+agent\s+slowlog\s+(?P<value>{_ARG})"),
+    Command("set agent workers <N>", AgentAdmin._set_workers,
+            rf"set\s+agent\s+workers\s+(?P<value>{_ARG})"),
+    Command("export agent telemetry", AgentAdmin._export_telemetry),
+)
+
+_USAGE = ("unknown agent command; expected one of: "
+          + " | ".join(command.usage for command in COMMANDS))
+
+
+def _matcher(command: Command) -> re.Pattern:
+    """A command is its pattern — by default its usage's words, up to
+    the ``[N]`` — between optional whitespace and a trailing ``;``."""
+    pattern = command.pattern
+    if pattern is None:
+        words = command.usage.removesuffix(" [N]").split()
+        pattern = r"\s+".join(words) + (_N if command.rows else "")
+    return re.compile(rf"^\s*(?:{pattern})\s*;?\s*$", re.IGNORECASE)
+
+
+_MATCHERS = tuple((_matcher(command), command) for command in COMMANDS)

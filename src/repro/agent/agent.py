@@ -22,6 +22,16 @@ from repro.faults import (
 from repro.led import LocalEventDetector, ManualClock
 from repro.led.clock import VirtualClock
 from repro.led.rules import Context, Coupling
+from repro.obs.ambient import Ambient
+from repro.obs.tracing import (
+    FIG3_GRAPH_CREATED,
+    FIG3_PERSISTED,
+    FIG3_SQL_INSTALLED,
+    FIG4_NOTIFIED,
+    SPAN_ECA_CODEGEN,
+    SPAN_ECA_PARSE,
+    PipelineTrace,
+)
 from repro.snoop import parse_event_expression
 from repro.snoop.ast import referenced_events
 from repro.sqlengine import ClientConnection, SqlServer
@@ -57,17 +67,7 @@ from .notifier import (
     UdpChannel,
 )
 from .persistence import PersistentManager
-from .messages import attach_trace_context, split_trace_context
-from .trace import (
-    FIG3_GRAPH_CREATED,
-    FIG3_PERSISTED,
-    FIG3_SQL_INSTALLED,
-    FIG4_NOTIFIED,
-    SPAN_ECA_CODEGEN,
-    SPAN_ECA_PARSE,
-    PipelineTrace,
-    TraceContext,
-)
+from .messages import adopt_payload, stamp
 
 _DROP_TRIGGER_NAME = re.compile(
     r"^\s*drop\s+trigger\s+([A-Za-z_#][\w.$#]*)", re.IGNORECASE)
@@ -157,15 +157,21 @@ class EcaAgent:
         self.trace = PipelineTrace()
         self.journal = journal if journal is not None else ProvenanceJournal(
             enabled=False)
-        # Journal records carry the trace id of the command they belong
-        # to (read from the trace's active context at append time).
-        self.journal.bind_trace(self.trace)
         self.exporter = exporter
         #: the health plane: resource accounting (always-on), the slow-op
         #: flight recorder (armed via ``set agent slowlog``), and the
         #: watchdog evaluating declarative health rules on demand.
         self.accounting = accounting if accounting is not None else (
             OpAccounting())
+        #: the one per-thread ambient context (open spans, inherited
+        #: trace context, provenance parents, accounting frames) all
+        #: three planes read and write, so every hand-off — pool queue,
+        #: DETACHED thread, datagram — is one ``capture()``/``adopt()``
+        #: and journal records carry the active command's trace id.
+        self.ambient = Ambient()
+        self.ambient.accounting = self.accounting
+        for plane in (self.trace, self.journal, self.accounting):
+            plane.ambient = self.ambient
         self.flightrec = flightrec if flightrec is not None else (
             FlightRecorder())
         self.health_evaluator = HealthEvaluator(health_rules)
@@ -232,29 +238,20 @@ class EcaAgent:
 
         def deliver(payload: str) -> None:
             # A datagram may carry the sending command's trace context as
-            # a ``tc=`` trailer (see send below); strip it and re-activate
-            # that context on the delivering thread so the notification
-            # span — and everything the LED does under it — parents into
-            # the originating command's trace even across an async
-            # channel's listener thread.
-            payload, token = split_trace_context(payload)
-            ctx = TraceContext.decode(token) if token is not None else None
-            with self.trace.activate(ctx):
-                if self.trace.enabled:
-                    with self.trace.span(FIG4_NOTIFIED, payload):
-                        self.notifier.on_payload(payload)
-                else:
-                    self.notifier.on_payload(payload)
+            # a ``tc=`` trailer (see send below); strip it and adopt it
+            # on the delivering thread so the notification span — and
+            # everything the LED does under it — parents into the
+            # originating command's trace even across an async channel's
+            # listener thread.
+            payload, adopted = adopt_payload(payload, self.ambient)
+            with adopted, self.trace.span(FIG4_NOTIFIED, payload):
+                self.notifier.on_payload(payload)
 
         def send(host: str, port: int, payload: str) -> None:
-            # ``syb_sendmsg`` sink: while tracing, serialize the sending
-            # thread's trace context into the datagram so causality
-            # survives the transport (one branch + no-op otherwise).
-            if self.trace.enabled:
-                ctx = self.trace.current_context()
-                if ctx is not None and ctx.trace_id is not None:
-                    payload = attach_trace_context(payload, ctx.encode())
-            self.channel.send(host, port, payload)
+            # ``syb_sendmsg`` sink: the sending thread's trace context
+            # (if any) rides the datagram so causality survives the
+            # transport.
+            self.channel.send(host, port, stamp(payload, self.ambient))
 
         def receive(payload: str) -> None:
             # Delivery is retried only for faults injected at the decode
@@ -397,10 +394,7 @@ class EcaAgent:
         models process death, and consistency is then restored by
         :meth:`recover` on the next start.
         """
-        if self.trace.enabled:
-            with self.trace.span(SPAN_ECA_PARSE):
-                command = parse_eca_command(sql)
-        else:
+        with self.trace.span(SPAN_ECA_PARSE):
             command = parse_eca_command(sql)
         if self.metrics.enabled:
             self._m_eca_commands.labels(command.kind).inc()

@@ -40,13 +40,7 @@ from collections import deque
 from concurrent.futures import Future
 
 from repro.faults import FaultError, POINT_GATEWAY_PROCESS
-from repro.sqlengine.results import BatchResult
-
-from .session import AgentSession
-
-#: Closed sessions kept (as a ring) for ``show agent sessions``.
-RECENT_CLOSED_LIMIT = 32
-from .trace import (
+from repro.obs.tracing import (
     FIG3_CLASSIFIED_ECA,
     FIG3_COMMAND_RECEIVED,
     FIG3_PASSED_THROUGH,
@@ -54,7 +48,13 @@ from .trace import (
     SPAN_CLASSIFY,
     SPAN_QUEUE_WAIT,
 )
+from repro.sqlengine.results import BatchResult
+
+from .session import AgentSession
 from .workers import WorkerPool, drain_session
+
+#: Closed sessions kept (as a ring) for ``show agent sessions``.
+RECENT_CLOSED_LIMIT = 32
 
 
 class GatewayOpenServer:
@@ -68,8 +68,11 @@ class GatewayOpenServer:
         #: bounded ring of recently-closed sessions, newest last
         self._recent_closed: deque = deque(maxlen=RECENT_CLOSED_LIMIT)
         self._sessions_lock = threading.Lock()
+        # The pool's between-task hook drops the worker thread's ambient
+        # state, so a recycled thread never attributes later work to a
+        # previous command.
         self._pool: WorkerPool | None = (
-            WorkerPool(workers, cleanup=self._clear_thread_state)
+            WorkerPool(workers, cleanup=agent.ambient.reset)
             if workers else None)
         #: statistics for the transparency/overhead benches (E-PERF1)
         self.commands_total = 0
@@ -129,7 +132,7 @@ class GatewayOpenServer:
 
         The command's :class:`~repro.obs.tracing.TraceContext` is minted
         *here*, on the submitting client's thread, and rides the queued
-        closure — the worker re-activates it, so the hand-off across the
+        closure — the worker adopts it, so the hand-off across the
         queue keeps the causal chain (and the enqueue timestamp yields
         the queue-wait span).
         """
@@ -203,7 +206,7 @@ class GatewayOpenServer:
         thread must never join itself.
         """
         old = self._pool
-        self._pool = (WorkerPool(count, cleanup=self._clear_thread_state)
+        self._pool = (WorkerPool(count, cleanup=self.agent.ambient.reset)
                       if count > 0 else None)
         if old is not None:
             old.stop(join=False)
@@ -238,7 +241,7 @@ class GatewayOpenServer:
         """Execute one routed command on the current thread.
 
         ``ctx`` is the trace context minted at submit time (None with
-        tracing off); it is re-activated here so the whole Figure 3/4
+        tracing off); it is adopted here so the whole Figure 3/4
         span tree — including work on this worker thread and any threads
         it hands off to — hangs off one trace id.  ``enqueued_at`` (pool
         path only) dates the submit, yielding the queue-wait span and
@@ -274,15 +277,13 @@ class GatewayOpenServer:
         kind = "error"
         try:
             trace = agent.trace
-            if trace.enabled:
-                with trace.activate(ctx), \
-                        trace.span(FIG3_COMMAND_RECEIVED,
-                                   sql.split(chr(10))[0][:60]):
-                    if enqueued_at is not None:
-                        trace.record_span(SPAN_QUEUE_WAIT,
-                                          start=enqueued_at, end=start)
-                    kind, result = self._route(session, sql)
-            else:
+            # Detail: the command's first line, capped (sliced first —
+            # this is evaluated with tracing off too).
+            with trace.activate(ctx), trace.span(
+                    FIG3_COMMAND_RECEIVED, sql[:60].partition("\n")[0]):
+                if enqueued_at is not None:
+                    trace.record_span(SPAN_QUEUE_WAIT,
+                                      start=enqueued_at, end=start)
                 kind, result = self._route(session, sql)
         except FaultError as exc:
             kind = "degraded"
@@ -304,30 +305,17 @@ class GatewayOpenServer:
                     kind=kind, statement=sql, session=session,
                     duration=duration, frame=frame, trace=agent.trace,
                     journal=agent.journal, marks=marks,
-                    trace_id=trace_id,
+                    threshold_ms=slow_threshold, trace_id=trace_id,
                     plan=agent.server.explain_text(
                         sql, getattr(session, "server_session", session)))
             accounting.finish(frame, duration)
         return result
 
-    def _clear_thread_state(self) -> None:
-        """Drop ambient per-thread observability state (span stack,
-        provenance stack, accounting frames) — the worker pool's
-        between-task hygiene hook, so a recycled worker thread never
-        attributes later work to a previous command."""
-        agent = self.agent
-        agent.trace.reset_thread()
-        agent.journal.reset_thread()
-        agent.accounting.reset_thread()
-
     def _route(self, session, sql: str) -> tuple[str, BatchResult]:
         """Classify and dispatch; returns (classification label, result)."""
         filter_ = self.agent.language_filter
         trace = self.agent.trace
-        if trace.enabled:
-            with trace.span(SPAN_CLASSIFY):
-                kind = filter_.classify(sql)
-        else:
+        with trace.span(SPAN_CLASSIFY):
             kind = filter_.classify(sql)
 
         if kind == filter_.AGENT_ADMIN:

@@ -11,29 +11,28 @@ instead reads the current ``vNo`` back from ``SysPrimitiveEvent``, which
 races when notifications are delivered asynchronously (documented
 deviation, DESIGN.md §2).  The decoder accepts both forms.
 
-Trace propagation rides the same datagram: while tracing is enabled the
-sink appends one ``;``-separated ``tc=<encoded context>`` segment to the
-payload (:func:`attach_trace_context`), and the delivery side strips it
-back off (:func:`split_trace_context`) before the notification decoder
-ever sees the payload.  The token is a trailer, not a notification —
-``decode_batch`` also skips any ``tc=`` segment defensively, so a traced
-payload that reaches an unaware decoder still parses.
+Trace propagation rides the same datagram: a sender whose thread has an
+active trace context appends one ``;``-separated ``tc=<encoded context>``
+segment to the payload (:func:`stamp`), and the delivery side strips it
+back off and adopts it (:func:`adopt_payload`) before the notification
+decoder ever sees the payload — the wire form of the
+:class:`~repro.obs.ambient.Ambient` hand-off, shared by the agent's
+``syb_sendmsg`` sink and the sharded GED's transport.  The token is a
+trailer, not a notification — ``decode_batch`` also skips any ``tc=``
+segment defensively, so a traced payload that reaches an unaware decoder
+still parses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.ambient import Ambient, Handoff, TraceContext
+
 from .errors import NotificationError
 
 #: Marker prefix of the trace-context trailer segment in a datagram.
 TRACE_TOKEN_PREFIX = "tc="
-
-
-def attach_trace_context(payload: str, encoded: str) -> str:
-    """Append an encoded trace context to a datagram payload as a
-    ``;``-separated ``tc=`` trailer segment."""
-    return f"{payload};{TRACE_TOKEN_PREFIX}{encoded}"
 
 
 def split_trace_context(payload: str) -> tuple[str, str | None]:
@@ -47,6 +46,27 @@ def split_trace_context(payload: str) -> tuple[str, str | None]:
     if sep and tail.startswith(TRACE_TOKEN_PREFIX):
         return head, tail[len(TRACE_TOKEN_PREFIX):]
     return payload, None
+
+
+def stamp(payload: str, ambient: Ambient) -> str:
+    """The sending half of the datagram hand-off: ``payload`` with the
+    sending thread's trace context appended as a ``;tc=`` trailer, or
+    unchanged when no trace is active there (tracing off: one ambient
+    read, byte-identical payload)."""
+    ctx = ambient.trace_context()
+    if ctx is None or ctx.trace_id is None:
+        return payload
+    return f"{payload};{TRACE_TOKEN_PREFIX}{ctx.encode()}"
+
+
+def adopt_payload(payload: str, ambient: Ambient):
+    """The receiving half: ``(clean payload, context manager)``.  The
+    ``with`` body works on behalf of the sending command — spans parent
+    into its trace even on a listener thread.  Malformed or hostile
+    tokens decode to no context; the notification itself is unharmed."""
+    clean, token = split_trace_context(payload)
+    ctx = TraceContext.decode(token) if token else None
+    return clean, ambient.adopt(Handoff(ctx))
 
 
 @dataclass(frozen=True)

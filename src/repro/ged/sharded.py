@@ -46,11 +46,7 @@ import itertools
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 
-from repro.agent.messages import (
-    Notification,
-    attach_trace_context,
-    split_trace_context,
-)
+from repro.agent.messages import Notification, adopt_payload, stamp
 from repro.errors import ConfigurationError
 from repro.led import Context, Coupling, LocalEventDetector
 from repro.led.occurrences import Occurrence, primitive
@@ -59,7 +55,6 @@ from repro.obs.tracing import (
     SPAN_GED_ROUTE,
     SPAN_GED_SHARD,
     PipelineTrace,
-    TraceContext,
 )
 from repro.snoop import parse_event_expression
 from repro.snoop.ast import EventExpr, referenced_events
@@ -344,8 +339,8 @@ class ShardedGed:
 
         Installs a forwarding rule at the home agent's LED that ships
         each occurrence to the router as a ``syb_sendmsg`` datagram
-        (with the ``;tc=`` trace trailer while the home site's tracing
-        is enabled).  Returns the qualified global name.
+        (with the ``;tc=`` trace trailer while the sending command is
+        traced).  Returns the qualified global name.
         """
         agent = self._site_agent(site)
         name = qualified_name(site, event_internal)
@@ -371,10 +366,8 @@ class ShardedGed:
             )
             payload = notification.encode()
             trace = getattr(_agent, "trace", None)
-            if trace is not None and trace.enabled:
-                ctx = trace.current_context()
-                if ctx is not None:
-                    payload = attach_trace_context(payload, ctx.encode())
+            if trace is not None:
+                payload = stamp(payload, trace.ambient)
             transport.send(_site, payload)
 
         rule_name = f"{FORWARD_RULE_PREFIX}{name}"
@@ -459,13 +452,11 @@ class ShardedGed:
 
     def _route(self, from_site: str, payload: str) -> None:
         """Transport callback: decode, sequence, journal, fan out."""
-        clean, token = split_trace_context(payload)
-        ctx = TraceContext.decode(token) if token else None
+        clean, adopted = adopt_payload(payload, self.trace.ambient)
         notifications = Notification.decode_batch(clean)
-        with self.trace.activate(ctx):
-            with self.trace.span(SPAN_GED_ROUTE, from_site):
-                for notification in notifications:
-                    self._route_one(from_site, notification)
+        with adopted, self.trace.span(SPAN_GED_ROUTE, from_site):
+            for notification in notifications:
+                self._route_one(from_site, notification)
 
     def _route_one(self, from_site: str, notification: Notification) -> None:
         name = notification.event_internal

@@ -1,8 +1,15 @@
 """``repro.obs`` — the end-to-end observability layer.
 
-Three parts, mirroring what the paper's evaluation (Figures 15-17)
+The parts, mirroring what the paper's evaluation (Figures 15-17)
 measures by hand:
 
+- :mod:`repro.obs.ambient` — the one per-thread ambient context
+  (:class:`Ambient`: open spans, inherited :class:`TraceContext`,
+  provenance parents, accounting frames) and its one hand-off
+  (``capture() -> Handoff`` / ``adopt(handoff)`` / ``reset()``) across
+  queues, threads and the ``;tc=`` datagram trailer;
+- :mod:`repro.obs.boundedlog` — the one bounded, seq-stamped record log
+  (:class:`BoundedLog`) the trace, journal and flight recorder extend;
 - :mod:`repro.obs.metrics` — thread-safe :class:`Counter` / :class:`Gauge`
   / :class:`Histogram` primitives behind a labeled
   :class:`MetricsRegistry`, with text and dict exporters;
@@ -33,6 +40,8 @@ Everything is off by default and costs one branch per hook when off.
 
 from __future__ import annotations
 
+from .ambient import Ambient, Handoff
+from .boundedlog import BoundedLog
 from .export import TelemetryExporter
 from .flightrec import FlightRecorder, SlowOp
 from .health import (
@@ -80,15 +89,17 @@ from .tracing import (
     PipelineTrace,
     SpanRecord,
     TraceContext,
-    TraceRecord,
 )
 
 __all__ = [
+    "Ambient",
+    "BoundedLog",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_HEALTH_RULES",
     "FlightRecorder",
     "Gauge",
+    "Handoff",
     "HealthEvaluator",
     "HealthFinding",
     "HealthReport",
@@ -109,7 +120,6 @@ __all__ = [
     "SpanRecord",
     "TelemetryExporter",
     "TraceContext",
-    "TraceRecord",
     "bucket_bounds",
     "collect_sample",
     "percentile",

@@ -154,10 +154,8 @@ class TelemetryExporter:
     def _span_lines(self, trace) -> tuple[list[str], int]:
         out: list[str] = []
         mark = self._last_span_seq
-        for record in trace.snapshot():
-            if record.seq <= self._last_span_seq:
-                continue
-            mark = max(mark, record.seq)
+        for record in trace.since(mark):
+            mark = record.seq
             if record.seq % self._span_stride:
                 continue
             out.append(json.dumps({
@@ -176,10 +174,8 @@ class TelemetryExporter:
     def _provenance_lines(self, journal) -> tuple[list[str], list[str], int]:
         records: list[str] = []
         mark = self._last_prov_seq
-        for record in journal.snapshot():
-            if record.seq <= self._last_prov_seq:
-                continue
-            mark = max(mark, record.seq)
+        for record in journal.since(mark):
+            mark = record.seq
             if record.seq % self._prov_stride:
                 continue
             records.append(json.dumps({
@@ -209,10 +205,8 @@ class TelemetryExporter:
     def _slow_op_lines(self, flightrec) -> tuple[list[str], int]:
         out: list[str] = []
         mark = self._last_slow_seq
-        for record in flightrec.snapshot():
-            if record.seq <= self._last_slow_seq:
-                continue
-            mark = max(mark, record.seq)
+        for record in flightrec.since(mark):
+            mark = record.seq
             payload = record.as_dict()
             payload["type"] = "slow_op"
             out.append(json.dumps(payload, sort_keys=True, default=str))

@@ -8,7 +8,7 @@ the command's wall time exceeds the armed threshold (``set agent slowlog
 :class:`~repro.obs.tracing.PipelineTrace` span tree and its
 :class:`~repro.obs.provenance.ProvenanceJournal` slice — together with
 the operation's :class:`~repro.obs.opcontext.OpContext` counters, into a
-fixed-size ring of :class:`SlowOp` records.
+:class:`~repro.obs.boundedlog.BoundedLog` of :class:`SlowOp` records.
 
 Disarmed (the default) the recorder costs one attribute read per
 command.  Armed, the marginal cost is two ``last_seq`` reads per command
@@ -19,14 +19,14 @@ once as a ``{"type": "slow_op"}`` JSONL line.
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 
+from .boundedlog import BoundedLog
+
 __all__ = ["FlightRecorder", "SlowOp"]
 
-#: Default ring capacity (slow ops retained).
+#: Default capacity (slow ops retained; the oldest tenth goes when full).
 DEFAULT_CAPACITY = 64
 #: Caps on the captured per-op slices, so one pathological command
 #: cannot make the ring itself expensive to hold or export.
@@ -76,29 +76,20 @@ class SlowOp:
         }
 
 
-class FlightRecorder:
-    """Fixed-size ring buffer of :class:`SlowOp` records (thread-safe)."""
+class FlightRecorder(BoundedLog):
+    """Bounded log of :class:`SlowOp` records (thread-safe)."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  threshold_ms: float | None = None, clock=time.time):
-        if capacity < 1:
-            raise ValueError(
-                f"flight recorder capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        super().__init__(capacity)
         #: slow-op threshold in milliseconds; ``None`` disarms capture
         self.threshold_ms = threshold_ms
         self._clock = clock
-        self._records: list[SlowOp] = []
-        self._seq = itertools.count(1)
-        self._lock = threading.Lock()
         self.captured_total = 0
 
     @property
     def armed(self) -> bool:
         return self.threshold_ms is not None
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     # ------------------------------------------------------------------
     # gateway surface
@@ -111,10 +102,13 @@ class FlightRecorder:
 
     def capture(self, *, kind: str, statement: str, session,
                 duration: float, frame, trace, journal,
-                marks: tuple[int, int],
+                marks: tuple[int, int], threshold_ms: float,
                 trace_id: str | None = None,
                 plan: str | None = None) -> SlowOp:
-        """Record one over-threshold operation into the ring."""
+        """Record one over-threshold operation.  ``threshold_ms`` is the
+        threshold the caller judged ``duration`` against — snapshotted
+        with ``marks``, because the command being captured may itself
+        have re-armed or disarmed the recorder since."""
         span_mark, prov_mark = marks
         spans = [
             {
@@ -142,14 +136,14 @@ class FlightRecorder:
             for record in journal.since(prov_mark, limit=MAX_PROVENANCE)
         ]
         record = SlowOp(
-            seq=next(self._seq),
+            seq=self._next_seq(),
             at=self._clock(),
             kind=kind,
             statement=statement[:MAX_STATEMENT],
             session_id=session.session_id,
             user=session.user,
             duration_ms=round(duration * 1e3, 4),
-            threshold_ms=self.threshold_ms if self.armed else 0.0,
+            threshold_ms=threshold_ms,
             counters=frame.as_dict() if frame is not None else {},
             spans=spans,
             provenance=provenance,
@@ -157,27 +151,6 @@ class FlightRecorder:
             plan=plan,
         )
         with self._lock:
-            self._records.append(record)
-            if len(self._records) > self.capacity:
-                del self._records[: len(self._records) - self.capacity]
+            self._append(record)
             self.captured_total += 1
         return record
-
-    # ------------------------------------------------------------------
-    # inspection / export
-
-    def tail(self, count: int) -> list[SlowOp]:
-        """The most recent ``count`` slow ops, oldest first."""
-        with self._lock:
-            if count <= 0:
-                return []
-            return list(self._records[-count:])
-
-    def snapshot(self) -> list[SlowOp]:
-        """A consistent copy of the whole ring (export surface)."""
-        with self._lock:
-            return list(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()

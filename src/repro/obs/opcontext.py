@@ -12,12 +12,14 @@ per-session and per-rule totals, surfaced by ``show agent top
 
 Design constraints, mirroring the rest of ``repro.obs``:
 
-- **Ambient**: frames live on a per-thread stack, so the executor needs
-  no extra parameters — a rule action's SQL is charged to both the rule
-  frame and the enclosing client command's frame (the session pays for
-  the rules it triggers, which is the paper's transparency cost made
-  visible).  Detached actions run on their own threads with only a rule
-  frame, so their cost attributes to the rule alone.
+- **Ambient**: frames live on a per-thread stack (in the
+  :class:`~repro.obs.ambient.Ambient` shared with the span trace and the
+  provenance journal), so the executor needs no extra parameters — a
+  rule action's SQL is charged to both the rule frame and the enclosing
+  client command's frame (the session pays for the rules it triggers,
+  which is the paper's transparency cost made visible).  A detached
+  action's thread adopts the dispatcher's hand-off, which opens a fresh
+  frame for the triggering session there.
 - **Always-on but cheap**: plain int adds on at most two frames per
   note; no locks on the hot path (totals fold under a lock only at
   frame exit).  ``enabled = False`` reduces every hook to one branch.
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+
+from .ambient import Ambient
 
 __all__ = ["OpAccounting", "OpContext", "RuleTotals", "SessionTotals"]
 
@@ -199,7 +202,7 @@ class _RuleScope:
 
     def __enter__(self) -> OpContext:
         self._start = time.perf_counter()
-        self._accounting._push(self._frame)
+        self._accounting.ambient.state().frames.append(self._frame)
         return self._frame
 
     def __exit__(self, exc_type, _exc, _tb) -> bool:
@@ -222,7 +225,11 @@ class OpAccounting:
         self.enabled = enabled
         self.max_sessions = max_sessions
         self.max_rules = max_rules
-        self._local = threading.local()
+        #: per-thread frame stack (private here; the agent points its
+        #: three planes at one shared ambient).  Frames opened by a
+        #: hand-off's adoption fold into this plane.
+        self.ambient = Ambient()
+        self.ambient.accounting = self
         self._lock = threading.Lock()
         self._sessions: dict[object, SessionTotals] = {}
         self._rules: dict[str, RuleTotals] = {}
@@ -234,18 +241,8 @@ class OpAccounting:
     # ------------------------------------------------------------------
     # frame stack
 
-    def _frames(self) -> list[OpContext]:
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = []
-            self._local.frames = frames
-        return frames
-
-    def _push(self, frame: OpContext) -> None:
-        self._frames().append(frame)
-
     def _pop(self, frame: OpContext) -> None:
-        frames = self._frames()
+        frames = self.ambient.state().frames
         if frames and frames[-1] is frame:
             frames.pop()
         elif frame in frames:  # pragma: no cover - unbalanced exit guard
@@ -253,69 +250,24 @@ class OpAccounting:
 
     def active(self) -> bool:
         """Whether any frame is open on this thread (hook fast-path)."""
-        frames = getattr(self._local, "frames", None)
-        return bool(frames)
+        return bool(self.ambient.state().frames)
 
     def current(self) -> OpContext | None:
         """The innermost open frame on this thread, if any."""
-        frames = getattr(self._local, "frames", None)
+        frames = self.ambient.state().frames
         return frames[-1] if frames else None
-
-    def command_frame(self) -> OpContext | None:
-        """The outermost client-command frame open on this thread (the
-        frame with a session identity), if any — what a dispatcher
-        captures before handing work to another thread."""
-        frames = getattr(self._local, "frames", None)
-        if not frames:
-            return None
-        for frame in frames:
-            if frame.session_id is not None:
-                return frame
-        return None
-
-    def reset_thread(self) -> None:
-        """Drop this thread's frame stack (worker-pool hygiene between
-        tasks) — a leaked frame must never charge later commands' work
-        to a finished command's session."""
-        self._local.frames = []
-
-    @contextmanager
-    def inherit_scope(self, origin: OpContext | None):
-        """Charge the ``with`` body to the session identified by a frame
-        captured on another thread.  A *new* frame with the origin's
-        identity (but ``commands = 0``) opens here and folds into the
-        session's totals on exit — the origin frame itself may already
-        have folded by the time this thread runs, so it is never shared
-        across threads."""
-        if not self.enabled or origin is None or origin.session_id is None:
-            yield None
-            return
-        frame = OpContext(
-            session_id=origin.session_id,
-            user=origin.user,
-            database=origin.database,
-        )
-        start = time.perf_counter()
-        self._push(frame)
-        try:
-            yield frame
-        finally:
-            self.finish(frame, time.perf_counter() - start)
 
     def in_rule(self) -> bool:
         """Whether the innermost frames include a rule scope — i.e. the
         current SQL statement is LED-generated per-occurrence SQL, not a
         client batch (the plan cache's origin classification)."""
-        frames = getattr(self._local, "frames", None)
-        if not frames:
-            return False
-        return any(frame.rule is not None for frame in frames)
+        return any(frame.rule is not None for frame in self.ambient.state().frames)
 
     def origin(self) -> str:
         """Statement-origin classification with one frame-stack read:
         ``"rule"`` inside a rule action, ``"client"`` inside a client
         command, ``"system"`` otherwise (agent-internal SQL)."""
-        frames = getattr(self._local, "frames", None)
+        frames = self.ambient.state().frames
         if not frames:
             return "system"
         for frame in frames:
@@ -326,8 +278,12 @@ class OpAccounting:
     # ------------------------------------------------------------------
     # gateway surface (op frames)
 
-    def begin(self, session) -> OpContext | None:
-        """Open the accounting frame for one client command."""
+    def begin(self, session, commands: int = 1) -> OpContext | None:
+        """Open a frame charging this thread's work to ``session`` (any
+        object with ``session_id`` / ``user`` / ``database``): the
+        gateway's frame for one client command, or — with ``commands=0``
+        — the frame a :class:`~repro.obs.ambient.Handoff`'s adoption
+        opens for work done elsewhere on that session's behalf."""
         if not self.enabled:
             return None
         frame = OpContext(
@@ -335,8 +291,8 @@ class OpAccounting:
             user=session.user,
             database=session.database,
         )
-        frame.commands = 1
-        self._push(frame)
+        frame.commands = commands
+        self.ambient.state().frames.append(frame)
         return frame
 
     def finish(self, frame: OpContext | None, seconds: float) -> None:
@@ -397,40 +353,40 @@ class OpAccounting:
     # instrumentation hooks (called with at least one frame open)
 
     def note_statement(self) -> None:
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.sql_statements += 1
 
     def note_scan(self, rows: int, index_sources: int,
                   full_sources: int) -> None:
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.rows_scanned += rows
             frame.index_scans += index_sources
             frame.full_scans += full_sources
 
     def note_rows(self, rows: int) -> None:
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.rows_scanned += rows
 
     def note_plan_cache(self, hit: bool) -> None:
         if hit:
-            for frame in self._frames():
+            for frame in self.ambient.state().frames:
                 frame.plan_cache_hits += 1
         else:
-            for frame in self._frames():
+            for frame in self.ambient.state().frames:
                 frame.plan_cache_misses += 1
 
     def note_event(self) -> None:
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.events_raised += 1
 
     def note_detection(self) -> None:
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.detections += 1
 
     def note_action(self, seconds: float, error: bool) -> None:
         """Charge one finished action to every enclosing frame (the
         triggering command's session, and any outer rule in a cascade)."""
-        for frame in self._frames():
+        for frame in self.ambient.state().frames:
             frame.actions += 1
             if error:
                 frame.action_errors += 1

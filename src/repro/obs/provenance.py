@@ -15,14 +15,15 @@ Design constraints (shared with the rest of ``repro.obs``):
 - **Cheap when disabled**: every hook in the instrumented pipeline is one
   ``journal is not None and journal.enabled`` branch; nothing is
   allocated while off (the default).
-- **Bounded**: the record buffer drops its oldest tenth when full, like
-  :class:`~repro.obs.tracing.PipelineTrace`.  Parent ids always point
+- **Bounded**: the journal is a :class:`~repro.obs.boundedlog.BoundedLog`
+  (oldest tenth dropped when full).  Parent ids always point
   *backwards* (a parent id is smaller than its child's), so links never
   dangle: a parent id either resolves within the retained window or is
   older than every retained record.
 - **Thread-safe**: notification-listener threads, detached action
   workers, and client threads append concurrently under one lock; the
-  ambient parent chain (notification → raise) is tracked per thread.
+  ambient parent chain (notification → raise) is tracked per thread in
+  the :class:`~repro.obs.ambient.Ambient` shared with the span trace.
 
 Besides the journal itself, per-node aggregates (`fires`, `consumed`,
 a bounded latency window) are kept per ``(event node, context)`` — these
@@ -32,13 +33,12 @@ are exact counters that survive record eviction and feed the
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .ambient import Ambient
+from .boundedlog import BoundedLog
 from .metrics import HistogramSummary, summarize
 
 __all__ = [
@@ -91,8 +91,7 @@ class ProvenanceRecord:
     at: float = 0.0
     duration: float | None = None
     #: trace id of the client command this hop belongs to (stamped from
-    #: the bound :class:`~repro.obs.tracing.PipelineTrace`, None when
-    #: no trace context is active)
+    #: the thread's ambient trace context, None when none is active)
     trace_id: str | None = None
 
 
@@ -118,7 +117,7 @@ class NodeStat:
         return summarize(list(self.latencies))
 
 
-class ProvenanceJournal:
+class ProvenanceJournal(BoundedLog):
     """Bounded, thread-safe journal of causally linked pipeline records.
 
     Args:
@@ -136,15 +135,12 @@ class ProvenanceJournal:
 
     def __init__(self, enabled: bool = False, capacity: int = 10_000,
                  latency_window: int = 512, clock=time.perf_counter):
-        if capacity < 1:
-            raise ValueError("journal capacity must be >= 1")
+        super().__init__(capacity)
         self.enabled = enabled
-        self.capacity = capacity
-        self.records: list[ProvenanceRecord] = []
-        self._seq = itertools.count(1)
-        self._lock = threading.Lock()
         self._clock = clock
-        self._local = threading.local()
+        #: per-thread ambient parent stack + the active trace id (private
+        #: here; the agent points its three planes at one shared ambient)
+        self.ambient = Ambient()
         self._latency_window = latency_window
         #: occurrence identity -> (pinned occurrence, record id).  The
         #: occurrence object is pinned so its ``id()`` cannot be reused
@@ -156,14 +152,6 @@ class ProvenanceJournal:
         #: flattened primitive constituents).
         self._pending_parts: dict[int, tuple[object, tuple[int, ...]]] = {}
         self._stats: dict[tuple[str, str], NodeStat] = {}
-        #: PipelineTrace supplying the active trace id per record (the
-        #: agent binds its own trace; None = records carry no trace id)
-        self._trace = None
-
-    def bind_trace(self, trace) -> None:
-        """Bind the :class:`~repro.obs.tracing.PipelineTrace` whose
-        active context stamps every appended record's ``trace_id``."""
-        self._trace = trace
 
     def now(self) -> float:
         """The journal's clock (used by hooks timing propagation hops)."""
@@ -172,54 +160,20 @@ class ProvenanceJournal:
     # ------------------------------------------------------------------
     # ambient per-thread parent chain (notification -> raise nesting)
 
-    def _stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def push(self, record_id: int) -> None:
         """Make ``record_id`` the ambient parent for this thread."""
-        self._stack().append(record_id)
+        self.ambient.state().parents.append(record_id)
 
     def pop(self) -> None:
         """Drop this thread's innermost ambient parent."""
-        stack = self._stack()
-        if stack:
-            stack.pop()
-
-    def ambient(self) -> int | None:
-        """This thread's innermost ambient parent record id, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        parents = self.ambient.state().parents
+        if parents:
+            parents.pop()
 
     def ambient_parents(self) -> tuple[int, ...]:
-        """The ambient parent as a ``parents`` tuple (empty when none)."""
-        parent = self.ambient()
-        return (parent,) if parent is not None else ()
-
-    @contextmanager
-    def inherit(self, parents: tuple[int, ...]):
-        """Adopt an explicit parent chain on this thread for the ``with``
-        body — the cross-thread hand-off hook: a dispatcher captures
-        :meth:`ambient_parents` before spawning, and the spawned thread
-        inherits them here instead of relying on its own (empty) ambient
-        stack."""
-        pushed = 0
-        for parent in parents:
-            self.push(parent)
-            pushed += 1
-        try:
-            yield
-        finally:
-            for _ in range(pushed):
-                self.pop()
-
-    def reset_thread(self) -> None:
-        """Drop this thread's ambient parent stack (worker-pool hygiene
-        between tasks)."""
-        self._local.stack = []
+        """This thread's innermost ambient parent as a ``parents`` tuple
+        (empty when none)."""
+        return tuple(self.ambient.state().parents[-1:])
 
     # ------------------------------------------------------------------
     # recording
@@ -228,19 +182,15 @@ class ProvenanceJournal:
                detail: str = "", parents: tuple[int, ...] = (),
                duration: float | None = None) -> ProvenanceRecord:
         """Append one record (callers have already checked ``enabled``)."""
-        trace = self._trace
         record = ProvenanceRecord(
-            seq=next(self._seq), kind=kind, name=name,
+            seq=self._next_seq(), kind=kind, name=name,
             context=context or NO_CONTEXT,
             detail=detail[:_DETAIL_LIMIT], parents=parents,
             at=self._clock(), duration=duration,
-            trace_id=(trace.active_trace_id()
-                      if trace is not None else None),
+            trace_id=self.ambient.active_trace_id(),
         )
         with self._lock:
-            if len(self.records) >= self.capacity:
-                del self.records[: max(1, self.capacity // 10)]
-            self.records.append(record)
+            self._append(record)
         return record
 
     def register(self, occurrence, record_id: int) -> None:
@@ -352,47 +302,10 @@ class ProvenanceJournal:
     # ------------------------------------------------------------------
     # inspection
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def tail(self, count: int) -> list[ProvenanceRecord]:
-        """The most recent ``count`` records, oldest first."""
-        with self._lock:
-            if count <= 0:
-                return []
-            return list(self.records[-count:])
-
-    def snapshot(self) -> list[ProvenanceRecord]:
-        """A consistent copy of every retained record."""
-        with self._lock:
-            return list(self.records)
-
-    def last_seq(self) -> int:
-        """The newest retained record's sequence number (0 when empty) —
-        the flight recorder's high-water mark."""
-        with self._lock:
-            return self.records[-1].seq if self.records else 0
-
-    def since(self, seq: int,
-              limit: int | None = None) -> list[ProvenanceRecord]:
-        """Retained records with sequence numbers above ``seq``, oldest
-        first (at most ``limit``).  Scans backwards from the tail, so
-        the cost is proportional to the slice, not the journal."""
-        with self._lock:
-            out: list[ProvenanceRecord] = []
-            for record in reversed(self.records):
-                if record.seq <= seq:
-                    break
-                out.append(record)
-                if limit is not None and len(out) >= limit:
-                    break
-        out.reverse()
-        return out
-
     def resolve(self, record_id: int) -> ProvenanceRecord | None:
         """The retained record with ``seq == record_id``, if any."""
         with self._lock:
-            records = self.records
+            records = self._records
             if not records:
                 return None
             # Ids are append-ordered: binary-search the retained window.
@@ -423,7 +336,7 @@ class ProvenanceJournal:
         """Drop every record, registration, and node aggregate (the
         ``reset agent provenance`` command; ``enabled`` is untouched)."""
         with self._lock:
-            self.records.clear()
+            self._records.clear()
             self._occ_ids.clear()
             self._pending_parts.clear()
             self._stats.clear()

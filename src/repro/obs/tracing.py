@@ -11,14 +11,14 @@ The Figure 3 / Figure 4 step constants are kept as span names, so the
 original control-flow semantics (and their tests) survive: ``emit()``
 records an instantaneous span, ``span()`` brackets a timed region.
 
-Causality across threads is explicit: a :class:`TraceContext` (trace id
-+ parent span id + baggage) can be captured on one thread
-(:meth:`PipelineTrace.current_context`) and re-activated on another
-(:meth:`PipelineTrace.activate`), so spans recorded on worker-pool or
+Causality across threads is explicit: the per-thread nesting state lives
+in an :class:`~repro.obs.ambient.Ambient` (open spans + an inherited
+:class:`TraceContext`: trace id + parent span id + baggage), captured on
+one thread and adopted on another, so spans recorded on worker-pool or
 rule-action threads still hang off the originating client command's
 tree.  Spans carrying a trace id are additionally pinned into a bounded
 per-trace store (``show agent trace <trace_id>``) that survives the main
-ring buffer's eviction.
+log's eviction.
 
 Tracing is off by default and costs one branch per hook when off.
 """
@@ -26,17 +26,18 @@ Tracing is off by default and costs one branch per hook when off.
 from __future__ import annotations
 
 import itertools
-import re
-import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+
+from .ambient import Ambient, Handoff, TraceContext
+from .boundedlog import BoundedLog
 
 __all__ = [
     "PipelineTrace",
     "SpanRecord",
     "TraceContext",
-    "TraceRecord",
     "FIG3_COMMAND_RECEIVED",
     "FIG3_CLASSIFIED_ECA",
     "FIG3_PASSED_THROUGH",
@@ -92,72 +93,6 @@ SPAN_GED_ROUTE = "ged:route"
 SPAN_GED_SHARD = "ged:shard"
 SPAN_GED_REPLAY = "ged:replay"
 
-#: Characters allowed in one encoded baggage item — anything else is
-#: silently dropped from the wire token (the datagram payload is
-#: space-split and ``;``-coalesced, so tokens must avoid both).
-_BAGGAGE_SAFE = re.compile(r"^[A-Za-z0-9_.=\-]+$")
-
-
-@dataclass
-class TraceContext:
-    """The portable causal identity of one client command.
-
-    A context names the trace (``trace_id``), the span new work should
-    be parented under (``parent_span`` — ``None`` for a trace root), the
-    depth children should render at, and free-form ``baggage`` (session
-    id, rule name, origin).  Contexts cross queues inside submitted
-    closures and cross the ``syb_sendmsg`` datagram hop via
-    :meth:`encode`/:meth:`decode`.
-    """
-
-    trace_id: str | None
-    parent_span: int | None = None
-    depth: int = 0
-    baggage: dict = field(default_factory=dict)
-
-    def child_of(self, span: "SpanRecord") -> "TraceContext":
-        """A derived context parenting new work under ``span``."""
-        return TraceContext(
-            trace_id=span.trace_id if span.trace_id else self.trace_id,
-            parent_span=span.seq, depth=span.depth + 1,
-            baggage=dict(self.baggage))
-
-    def encode(self) -> str:
-        """Serialize to a compact token safe inside a datagram payload
-        (no spaces, no ``;``): ``<trace_id>:<parent>:<depth>[:<k=v,..>]``."""
-        parent = "" if self.parent_span is None else str(self.parent_span)
-        token = f"{self.trace_id or ''}:{parent}:{self.depth}"
-        if self.baggage:
-            items = ",".join(
-                f"{key}={value}"
-                for key, value in sorted(self.baggage.items())
-                if _BAGGAGE_SAFE.match(f"{key}={value}"))
-            if items:
-                token = f"{token}:{items}"
-        return token
-
-    @classmethod
-    def decode(cls, token: str) -> "TraceContext | None":
-        """Parse :meth:`encode`'s token; ``None`` when malformed (a
-        malformed trace token must never fail the notification)."""
-        parts = token.split(":", 3)
-        if len(parts) < 3 or not parts[0]:
-            return None
-        try:
-            parent = int(parts[1]) if parts[1] else None
-            depth = int(parts[2])
-        except ValueError:
-            return None
-        baggage: dict = {}
-        if len(parts) == 4 and parts[3]:
-            for item in parts[3].split(","):
-                key, sep, value = item.partition("=")
-                if sep:
-                    baggage[key] = value
-        return cls(trace_id=parts[0], parent_span=parent, depth=depth,
-                   baggage=baggage)
-
-
 @dataclass
 class SpanRecord:
     """One span: a named, timed region of the pipeline (or an instant)."""
@@ -181,44 +116,8 @@ class SpanRecord:
         return self.end - self.start
 
 
-#: Backwards-compatible alias: flat trace records are point spans.
-TraceRecord = SpanRecord
-
-
-class _NullSpan:
-    """Reusable no-op context manager (tracing disabled)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _Activation:
-    """Context manager installing an inherited :class:`TraceContext` as
-    this thread's ambient context (restored on exit)."""
-
-    __slots__ = ("_trace", "_ctx", "_prev")
-
-    def __init__(self, trace: "PipelineTrace", ctx: TraceContext):
-        self._trace = trace
-        self._ctx = ctx
-
-    def __enter__(self) -> TraceContext:
-        local = self._trace._local
-        self._prev = getattr(local, "ctx", None)
-        local.ctx = self._ctx
-        return self._ctx
-
-    def __exit__(self, *_exc) -> bool:
-        self._trace._local.ctx = self._prev
-        return False
+#: Reusable no-op context manager (tracing disabled, nothing to adopt).
+_NULL_SPAN = nullcontext()
 
 
 class _OpenSpan:
@@ -233,7 +132,9 @@ class _OpenSpan:
         self.record: SpanRecord | None = None
 
     def __enter__(self) -> SpanRecord:
-        self.record = self._trace._open(self._step, self._detail)
+        trace = self._trace
+        self.record = trace._record(
+            self._step, self._detail, trace._clock(), None)
         return self.record
 
     def __exit__(self, *_exc) -> bool:
@@ -242,13 +143,13 @@ class _OpenSpan:
         return False
 
 
-class PipelineTrace:
-    """Bounded in-memory span buffer (thread-safe).
+class PipelineTrace(BoundedLog):
+    """Bounded in-memory span log (thread-safe).
 
     Nesting is tracked per thread: spans opened on one thread become
     parents of the spans and point records emitted by that thread until
-    they close.  When the buffer is full the oldest tenth of the records
-    is dropped (always at least one, so small buffers stay bounded).
+    they close.  When the log is full the oldest tenth of the records
+    is dropped (always at least one, so small logs stay bounded).
     """
 
     #: Bounds on the per-trace pinned-span store (oldest trace evicted).
@@ -257,10 +158,11 @@ class PipelineTrace:
 
     def __init__(self, enabled: bool = False, max_records: int = 10_000,
                  clock=time.perf_counter):
+        super().__init__(max_records)
         self.enabled = enabled
-        self.max_records = max_records
-        self.records: list[SpanRecord] = []
-        self._seq = itertools.count(1)
+        #: per-thread open-span stack + inherited context (private here;
+        #: the agent points its three planes at one shared ambient)
+        self.ambient = Ambient()
         self._trace_seq = itertools.count(1)
         #: trace_id -> pinned spans, insertion-ordered for FIFO eviction
         self._traces: OrderedDict[str, list[SpanRecord]] = OrderedDict()
@@ -268,46 +170,39 @@ class PipelineTrace:
         self._sampling = False
         self._sample_remaining = 0
         self._sample_restore = False
-        self._lock = threading.Lock()
         self._clock = clock
-        self._local = threading.local()
-
-    # -- per-thread span stack ------------------------------------------
-
-    def _stack(self) -> list[SpanRecord]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def current(self) -> SpanRecord | None:
         """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def _parentage(self) -> tuple[int | None, int, str | None]:
-        """(parent seq, depth, trace id) for a new record on this thread:
-        the innermost open span wins; with no open span, the inherited
-        :class:`TraceContext` (if activated) supplies all three."""
-        parent = self.current()
-        if parent is not None:
-            return parent.seq, parent.depth + 1, parent.trace_id
-        ctx = getattr(self._local, "ctx", None)
-        if ctx is not None:
-            return ctx.parent_span, ctx.depth, ctx.trace_id
-        return None, 0, None
+        spans = self.ambient.state().spans
+        return spans[-1] if spans else None
 
     # -- recording ------------------------------------------------------
 
-    def _append(self, record: SpanRecord) -> None:
+    def _record(self, step: str, detail: str, start: float,
+                end: float | None) -> SpanRecord:
+        """Append one record parented by this thread's ambient state:
+        the innermost open span wins; with no open span, the inherited
+        :class:`TraceContext` (if any) supplies parent, depth and trace
+        id."""
+        state = self.ambient.state()
+        if state.spans:
+            parent = state.spans[-1]
+            parent_seq, depth, trace_id = (
+                parent.seq, parent.depth + 1, parent.trace_id)
+        elif state.ctx is not None:
+            ctx = state.ctx
+            parent_seq, depth, trace_id = (
+                ctx.parent_span, ctx.depth, ctx.trace_id)
+        else:
+            parent_seq, depth, trace_id = None, 0, None
+        record = SpanRecord(
+            seq=self._next_seq(), step=step, detail=detail,
+            parent=parent_seq, depth=depth,
+            start=start, end=end, trace_id=trace_id,
+        )
         with self._lock:
-            if len(self.records) >= self.max_records:
-                # Always drop at least one record: max_records // 10 is 0
-                # for buffers of fewer than ten records, which previously
-                # let the buffer grow without bound.
-                del self.records[: max(1, self.max_records // 10)]
-            self.records.append(record)
+            self._append(record)
             if record.trace_id is not None:
                 spans = self._traces.get(record.trace_id)
                 if spans is None:
@@ -317,19 +212,16 @@ class PipelineTrace:
                     self._traces[record.trace_id] = spans
                 if len(spans) < self.MAX_TRACE_SPANS:
                     spans.append(record)
+        if end is None:
+            state.spans.append(record)
+        return record
 
     def emit(self, step: str, detail: str = "") -> None:
         """Record one instantaneous step (no-op while disabled)."""
         if not self.enabled:
             return
         now = self._clock()
-        parent_seq, depth, trace_id = self._parentage()
-        record = SpanRecord(
-            seq=next(self._seq), step=step, detail=detail,
-            parent=parent_seq, depth=depth,
-            start=now, end=now, trace_id=trace_id,
-        )
-        self._append(record)
+        self._record(step, detail, now, now)
 
     def span(self, step: str, detail: str = ""):
         """A context manager recording a timed span around the ``with``
@@ -343,20 +235,9 @@ class PipelineTrace:
             return _NULL_SPAN
         return _OpenSpan(self, step, detail)
 
-    def _open(self, step: str, detail: str) -> SpanRecord:
-        parent_seq, depth, trace_id = self._parentage()
-        record = SpanRecord(
-            seq=next(self._seq), step=step, detail=detail,
-            parent=parent_seq, depth=depth,
-            start=self._clock(), end=None, trace_id=trace_id,
-        )
-        self._append(record)
-        self._stack().append(record)
-        return record
-
     def _close(self, record: SpanRecord) -> None:
         record.end = self._clock()
-        stack = self._stack()
+        stack = self.ambient.state().spans
         if stack and stack[-1] is record:
             stack.pop()
         elif record in stack:  # pragma: no cover - unbalanced exit guard
@@ -371,49 +252,20 @@ class PipelineTrace:
         was stamped on the submitting client thread."""
         if not self.enabled:
             return None
-        parent_seq, depth, trace_id = self._parentage()
-        record = SpanRecord(
-            seq=next(self._seq), step=step, detail=detail,
-            parent=parent_seq, depth=depth,
-            start=start, end=end, trace_id=trace_id,
-        )
-        self._append(record)
-        return record
+        return self._record(step, detail, start, end)
 
     # -- explicit trace-context propagation ------------------------------
 
     def activate(self, ctx: TraceContext | None):
         """Context manager installing ``ctx`` as this thread's inherited
         context for the ``with`` body: records opened with no enclosing
-        span parent under ``ctx.parent_span`` and carry its trace id.
-        ``None`` returns a shared no-op (one branch on the off path)."""
+        span parent under ``ctx.parent_span`` and carry its trace id —
+        the trace-only case of :meth:`Ambient.adopt
+        <repro.obs.ambient.Ambient.adopt>`.  ``None`` returns a shared
+        no-op (one branch on the off path)."""
         if ctx is None:
             return _NULL_SPAN
-        return _Activation(self, ctx)
-
-    def active_trace_id(self) -> str | None:
-        """The trace id governing this thread right now: the innermost
-        open span's, else the inherited context's, else ``None``.  Other
-        observability planes (provenance, flight recorder) stamp their
-        records with this."""
-        span = self.current()
-        if span is not None:
-            return span.trace_id
-        ctx = getattr(self._local, "ctx", None)
-        return ctx.trace_id if ctx is not None else None
-
-    def current_context(self) -> TraceContext | None:
-        """Capture this thread's causal position for a cross-thread
-        hand-off: a context parenting new work under the innermost open
-        span, else the inherited context, else ``None``."""
-        span = self.current()
-        if span is not None:
-            ctx = getattr(self._local, "ctx", None)
-            baggage = dict(ctx.baggage) if ctx is not None else {}
-            return TraceContext(
-                trace_id=span.trace_id, parent_span=span.seq,
-                depth=span.depth + 1, baggage=baggage)
-        return getattr(self._local, "ctx", None)
+        return self.ambient.adopt(Handoff(ctx))
 
     def command_context(self, session=None) -> TraceContext | None:
         """A fresh root context for one client command (None while
@@ -458,18 +310,16 @@ class PipelineTrace:
         """Commands left in the armed sampling window (0 = disarmed)."""
         return self._sample_remaining if self._sampling else 0
 
-    def reset_thread(self) -> None:
-        """Drop this thread's ambient state (open-span stack + inherited
-        context) — worker-pool hygiene between tasks, so a recycled
-        thread never parents new work under a previous command."""
-        self._local.stack = []
-        self._local.ctx = None
-
     # -- inspection ------------------------------------------------------
+
+    @property
+    def records(self) -> list[SpanRecord]:
+        """A consistent copy of every retained record, in start order."""
+        return self.snapshot()
 
     def clear(self) -> None:
         with self._lock:
-            self.records.clear()
+            self._records.clear()
             self._traces.clear()
 
     def spans_for(self, trace_id: str) -> list[SpanRecord]:
@@ -497,43 +347,9 @@ class PipelineTrace:
         return [record for record in self.records
                 if record.step.startswith(prefix)]
 
-    def tail(self, count: int) -> list[SpanRecord]:
-        """The most recent ``count`` records, oldest first."""
-        with self._lock:
-            if count <= 0:
-                return []
-            return list(self.records[-count:])
-
-    def snapshot(self) -> list[SpanRecord]:
-        """A consistent copy of every retained record (export surface)."""
-        with self._lock:
-            return list(self.records)
-
-    def last_seq(self) -> int:
-        """The newest retained record's sequence number (0 when empty) —
-        the flight recorder's high-water mark."""
-        with self._lock:
-            return self.records[-1].seq if self.records else 0
-
-    def since(self, seq: int, limit: int | None = None) -> list[SpanRecord]:
-        """Retained records with sequence numbers above ``seq``, oldest
-        first (at most ``limit``).  Scans backwards from the tail, so
-        the cost is proportional to the slice, not the buffer."""
-        with self._lock:
-            out: list[SpanRecord] = []
-            for record in reversed(self.records):
-                if record.seq <= seq:
-                    break
-                out.append(record)
-                if limit is not None and len(out) >= limit:
-                    break
-        out.reverse()
-        return out
-
     def tree(self) -> list[tuple[SpanRecord, list]]:
         """Nested (record, children) pairs for the retained records."""
-        with self._lock:
-            records = list(self.records)
+        records = self.records
         nodes: dict[int, tuple[SpanRecord, list]] = {
             record.seq: (record, []) for record in records
         }

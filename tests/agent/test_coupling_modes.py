@@ -120,6 +120,26 @@ class TestDetached:
                if r.trigger_internal.endswith("t1")]
         assert len(log) == 1
 
+    def test_finished_detached_threads_are_not_retained(self, astock, agent):
+        """Regression: the handler kept one ``Thread`` object per
+        DETACHED firing until ``agent.close()`` — a long-running agent
+        grew without bound.  What it keeps is bounded by what is still
+        running (plus the thread it just started)."""
+        astock.execute(
+            "create trigger t1 on stock for insert event e1 as print '1'")
+        astock.execute("create trigger tx event e1 DETACHED as print 'd'")
+        handler = agent.action_handler
+        for number in range(200):
+            astock.execute(f"insert stock values ('A', {number}, 1)")
+            for thread in list(handler._threads):   # await this firing
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+            assert len(handler._threads) <= 1
+        assert len([f for f in agent.led.history
+                    if f.coupling.value == "DETACHED"]) == 200
+        agent.action_handler.join_detached()
+        assert handler._threads == []
+
 
 class TestDefaults:
     def test_default_coupling_is_immediate(self, astock, agent):

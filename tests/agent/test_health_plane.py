@@ -138,6 +138,34 @@ def test_slowlog_captures_the_statements_plan(active):
     assert admin_plan is None
 
 
+def test_slow_records_carry_the_threshold_they_were_judged_against(active):
+    """Regression: the gateway snapshots the threshold before routing,
+    but the recorder used to re-read its *current* threshold at capture
+    time — so the command that re-armed the recorder at 5000 ms was
+    stored as ``duration 0.01 ms >= threshold 5000 ms``, and the one
+    that disarmed it only read 0.0 by accident."""
+    for command in ("set agent slowlog 0",      # arm
+                    "insert stock values ('T', 1, 1)",
+                    "set agent slowlog 5000",   # re-arm: judged against 0
+                    "select * from stock",      # fast: not captured
+                    "set agent slowlog 0",      # judged against 5000: not
+                    "set agent slowlog off",    # disarm: judged against 0
+                    "select * from stock"):     # disarmed: not captured
+        active.execute(command)
+    result = active.execute("show agent slow 50")
+    [result_set] = result.result_sets
+    columns = result_set.columns
+    captured = {row[columns.index("statement")]: row
+                for row in result_set.rows}
+    assert set(captured) == {
+        "insert stock values ('T', 1, 1)", "set agent slowlog 5000",
+        "set agent slowlog off"}
+    for row in result_set.rows:
+        assert (row[columns.index("duration_ms")]
+                >= row[columns.index("threshold_ms")]), row
+        assert row[columns.index("threshold_ms")] == 0.0
+
+
 def test_slowlog_validation(active):
     message = _error_of(active.execute("set agent slowlog -5"))
     assert ">= 0" in message

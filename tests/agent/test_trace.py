@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agent import trace as trace_mod
+from repro.obs import tracing as trace_mod
 
 
 @pytest.fixture

@@ -209,3 +209,25 @@ class TestExplainTriggerLineage:
         summary = dict(conn.execute(
             "explain trigger t_and").result_sets[0].rows)
         assert summary["last_trace"] == trace_id
+
+
+def test_hostile_trace_trailer_is_dropped_but_the_event_still_raises(
+        agent, astock):
+    """A forged ``;tc=`` token (the channel is a network boundary) must
+    not size an indentation — and must not cost the notification."""
+    astock.execute(RULES[0])
+    astock.execute(
+        "create trigger t_far event e_add DEFERRED as print 'far'")
+    agent.trace.enabled = True
+    before = len(agent.firing_history())
+    for token in ("t1:1:1000000000", "t1:-7:0", "x" * 200 + ":1:0",
+                  "t 1:1:0", "not-a-token"):
+        agent.channel.send(
+            agent.notify_host, agent.notify_port,
+            f"sharma stock insert begin sentineldb.sharma.e_add 1;tc={token}")
+    agent.flush_deferred()
+    assert len(agent.firing_history()) == before + 5
+    assert max(record.depth for record in agent.trace.snapshot()) < 10
+    assert {record.trace_id for record in agent.trace.snapshot()} == {None}
+    [rows] = astock.execute("show agent trace 100").result_sets
+    assert max(len(row[2]) for row in rows.rows) < 100

@@ -4,15 +4,15 @@ A pool worker is recycled across sessions.  If a task leaks ambient
 per-thread observability state — an unclosed span, an inherited trace
 context, a provenance stack, an accounting frame — the NEXT session's
 command on that thread would be silently attributed to the previous
-one.  The pool's ``cleanup`` hook (``GatewayOpenServer.
-_clear_thread_state``) must clear all of it after every serviced task,
-and a replacement pool installed by ``set agent workers`` must carry
-the same hook.
+one.  The pool's ``cleanup`` hook (the agent's ``Ambient.reset``) must
+clear all of it after every serviced task, and a replacement pool
+installed by ``set agent workers`` must carry the same hook.
 """
 
 import pytest
 
 from repro.agent import EcaAgent
+from repro.obs import Handoff
 from repro.obs.tracing import TraceContext
 
 STOCK_DDL = (
@@ -46,13 +46,16 @@ class TestCleanupBetweenTasks:
         session_b = gateway.open_session("sharma", "sentineldb")
 
         def leaky():
-            # A buggy task leaves every ambient surface dirty: an open
-            # span, an activated foreign context, a provenance parent,
-            # and an accounting frame that is never finished.
-            agent.trace._open("leaked-span", "")
-            agent.trace._local.ctx = TraceContext(
-                trace_id="t-session-a", parent_span=1, depth=1)
-            agent.journal.push(999)
+            # A buggy task leaves every ambient surface dirty: a
+            # hand-off adopted but never exited (foreign trace context,
+            # provenance parent, session A's accounting frame), an open
+            # span, and a command frame that is never finished.
+            agent.ambient.adopt(Handoff(
+                TraceContext(trace_id="t-session-a", parent_span=1,
+                             depth=1),
+                (999,), session_a.session_id, "sharma",
+                "sentineldb")).__enter__()
+            agent.trace.span("leaked-span").__enter__()
             agent.accounting.begin(session_a)
             return "leaked"
 
@@ -62,9 +65,10 @@ class TestCleanupBetweenTasks:
 
         def probe():
             seen["parent"] = agent.trace.current()
-            seen["trace_id"] = agent.trace.active_trace_id()
+            seen["trace_id"] = agent.ambient.active_trace_id()
             seen["journal_parents"] = tuple(agent.journal.ambient_parents())
-            seen["frame"] = agent.accounting.command_frame()
+            seen["frame"] = agent.accounting.current()
+            seen["handoff"] = agent.ambient.capture()
             return "probed"
 
         assert _submit(agent, session_b, probe).result() == "probed"
@@ -72,6 +76,7 @@ class TestCleanupBetweenTasks:
         assert seen["trace_id"] is None
         assert seen["journal_parents"] == ()
         assert seen["frame"] is None
+        assert seen["handoff"] == Handoff()
 
     def test_two_sessions_commands_get_distinct_roots(self, pooled):
         agent = pooled
@@ -103,7 +108,7 @@ class TestReplacementPoolKeepsTheHook:
         conn.execute("set agent workers 2")
         assert gateway.pool is not old_pool
         assert gateway.pool.cleanup == old_pool.cleanup \
-            == gateway._clear_thread_state
+            == agent.ambient.reset
 
     def test_leak_cleared_across_a_resize(self, pooled):
         agent = pooled
@@ -111,7 +116,7 @@ class TestReplacementPoolKeepsTheHook:
         session = gateway.open_session("sharma", "sentineldb")
 
         def leaky():
-            agent.trace._open("leaked-span", "")
+            agent.trace.span("leaked-span").__enter__()
             return "leaked"
 
         _submit(agent, session, leaky).result()

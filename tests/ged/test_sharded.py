@@ -296,6 +296,8 @@ class TestObservability:
         trace.enabled = True
         tokyo = agents["tokyo"]
         tokyo.trace = trace
+        # a trace's nesting state lives in its ambient: share that too
+        tokyo.ambient = trace.ambient
         tokyo.led.attach_observability(tokyo.metrics, trace, tokyo.journal)
         ged = ShardedGed(trace=trace)
         for site, agent in agents.items():

@@ -159,7 +159,7 @@ class TestHealthPlaneLines:
         recorder.capture(
             kind="passthrough", statement="select 1", session=_Session(),
             duration=0.02, frame=frame, trace=trace, journal=journal,
-            marks=marks)
+            marks=marks, threshold_ms=recorder.threshold_ms)
         accounting.finish(frame, 0.02)
         with accounting.rule_scope("db.u.r"):
             pass

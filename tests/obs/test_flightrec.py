@@ -21,7 +21,7 @@ def _capture(recorder, trace=None, journal=None, statement="select 1",
     return recorder.capture(
         kind="passthrough", statement=statement, session=_Session(),
         duration=duration, frame=frame, trace=trace, journal=journal,
-        marks=marks)
+        marks=marks, threshold_ms=recorder.threshold_ms)
 
 
 def test_disarmed_by_default_and_armed_by_threshold():
@@ -64,7 +64,7 @@ def test_capture_slices_trace_and_journal_since_marks():
     record = recorder.capture(
         kind="eca", statement="insert stock", session=_Session(),
         duration=0.02, frame=None, trace=trace, journal=journal,
-        marks=marks)
+        marks=marks, threshold_ms=recorder.threshold_ms)
     assert [span["step"] for span in record.spans] == ["outer", "inner"]
     assert [prov["name"] for prov in record.provenance] == ["mine"]
     assert record.duration_ms == 20.0
@@ -81,7 +81,8 @@ def test_capture_caps_span_slice():
     record = recorder.capture(
         kind="passthrough", statement="x", session=_Session(),
         duration=0.01, frame=None, trace=trace,
-        journal=ProvenanceJournal(), marks=marks)
+        journal=ProvenanceJournal(), marks=marks,
+        threshold_ms=recorder.threshold_ms)
     assert len(record.spans) == MAX_SPANS
 
 

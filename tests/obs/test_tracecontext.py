@@ -54,6 +54,19 @@ class TestEncodeDecode:
                       "t1:1:notint"):
             assert TraceContext.decode(token) is None
 
+    def test_hostile_tokens_decode_to_none(self):
+        """The token arrives from outside the process (UDP channel, GED
+        transport) and ``depth`` is rendered as indentation, so decode
+        bounds every field instead of trusting the sender."""
+        for token in ("t1:1:1000000000", "t1:1:1025", "t1:1:-1",
+                      "t1:-5:0", "t" * 65 + ":1:0", "t/../1:1:0",
+                      "t 1:1:0", "t\x00:1:0"):
+            assert TraceContext.decode(token) is None, token
+        # the bounds themselves are inclusive
+        assert TraceContext.decode("t1:0:1024").depth == 1024
+        assert TraceContext.decode("t" * 64 + ":1:0") is not None
+        assert TraceContext.decode("t_1.a-b:1:0").trace_id == "t_1.a-b"
+
 
 class TestActivation:
     def test_activated_context_parents_new_records(self):
@@ -89,18 +102,18 @@ class TestActivation:
         inner = TraceContext(trace_id="tb", parent_span=2, depth=1)
         with trace.activate(outer):
             with trace.activate(inner):
-                assert trace.active_trace_id() == "tb"
-            assert trace.active_trace_id() == "ta"
-        assert trace.active_trace_id() is None
+                assert trace.ambient.active_trace_id() == "tb"
+            assert trace.ambient.active_trace_id() == "ta"
+        assert trace.ambient.active_trace_id() is None
 
     def test_cross_thread_handoff_links_one_tree(self):
         trace = fresh_trace()
         with trace.span("root") as root:
             root.trace_id = "t000001"
-            ctx = trace.current_context()
+            handoff = trace.ambient.capture()
 
         def worker():
-            with trace.activate(ctx):
+            with trace.ambient.adopt(handoff):
                 trace.emit("remote")
 
         thread = threading.Thread(target=worker)
@@ -115,9 +128,9 @@ class TestActivation:
     def test_reset_thread_drops_stack_and_context(self):
         trace = fresh_trace()
         ctx = TraceContext(trace_id="t1", parent_span=5, depth=2)
-        trace._local.ctx = ctx
-        trace._open("leaked", "")  # pushed, never closed
-        trace.reset_thread()
+        trace.activate(ctx).__enter__()      # adopted, never exited
+        trace.span("leaked").__enter__()     # opened, never closed
+        trace.ambient.reset()
         trace.emit("after")
         after = trace.records[-1]
         assert after.parent is None

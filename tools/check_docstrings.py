@@ -37,6 +37,8 @@ DEFAULT_SURFACE = [
     "src/repro/faults/__init__.py",
     "src/repro/faults/injector.py",
     "src/repro/faults/retry.py",
+    "src/repro/obs/ambient.py",
+    "src/repro/obs/boundedlog.py",
     "src/repro/obs/provenance.py",
     "src/repro/obs/export.py",
     "src/repro/ged/__init__.py",
