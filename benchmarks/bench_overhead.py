@@ -22,7 +22,7 @@ one histogram bucket width.
 A seventh series measures *tracing alone* (spans + per-command trace
 contexts + the pinned trace store; stats, provenance, and the health
 extras off) — the marginal cost of a ``trace next <N>`` sampling window
-on a production stack; ``tools/check_trace.py`` gates it against
+on a production stack; ``tools/check_overhead.py`` gates it against
 series 4 under the same ``OBS_OVERHEAD_RATIO`` ceiling.
 """
 
@@ -42,7 +42,7 @@ from _helpers import (
     print_stage_breakdown,
     write_bench_json,
 )
-from repro.obs import ProvenanceJournal, TelemetryExporter, bucket_bounds
+from repro.obs import TelemetryExporter, bucket_bounds
 
 INSERT = "insert stock values ('X', 1.0, 1)"
 
@@ -59,11 +59,11 @@ def _observed_stack():
     """The Example 2 stack with every observability sink enabled and a
     telemetry exporter attached."""
     server, agent, conn = example_2_stack(
-        journal=ProvenanceJournal(enabled=True),
         exporter=TelemetryExporter(TELEMETRY_PATH, max_bytes=0),
     )
     agent.metrics.enabled = True
     agent.trace.enabled = True
+    agent.journal.enabled = True
     return server, agent, conn
 
 

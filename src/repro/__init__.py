@@ -17,8 +17,8 @@ and the server, exactly as the paper describes:
 - :mod:`repro.workloads` -- workload generators for the benchmarks;
 - :mod:`repro.ged` -- the Global Event Detector extension (Section 6
   future work);
-- :mod:`repro.obs` -- the observability layer (metrics registry and
-  span-based pipeline tracing);
+- :mod:`repro.obs` -- the observability layer (metrics registry and one
+  event stream viewed as span trace, provenance journal and slow-op log);
 - :mod:`repro.faults` -- the robustness layer (deterministic fault
   injection and retry policies, with chaos-tested recovery).
 """
@@ -32,7 +32,6 @@ from repro.faults import (
     SimulatedCrash,
     TransientFaultError,
 )
-from repro.obs import get_metrics, get_trace
 
 __version__ = "1.1.0"
 
@@ -49,6 +48,4 @@ __all__ = [
     "SimulatedCrash",
     "TransientFaultError",
     "__version__",
-    "get_metrics",
-    "get_trace",
 ]

@@ -22,7 +22,7 @@ Assembly::
     conn.execute("insert stock values ('IBM', 101.5)")   # -> "stock added"
 """
 
-from repro.obs.tracing import PipelineTrace, SpanRecord
+from repro.obs.tracing import PipelineTrace
 
 from .action_handler import ActionHandler
 from .admin import AgentAdmin
@@ -69,7 +69,6 @@ __all__ = [
     "RecoveryError",
     "PipelineTrace",
     "PrimitiveEventDef",
-    "SpanRecord",
     "SynchronousChannel",
     "ThreadedChannel",
     "UdpChannel",

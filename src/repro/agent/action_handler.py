@@ -32,6 +32,7 @@ from repro.faults import POINT_ACTION_RUN
 from repro.led.detector import RuleFiring
 from repro.led.occurrences import Occurrence
 from repro.led.rules import Coupling, Rule
+from repro.obs.events import KIND_ACTION
 from repro.obs.tracing import FIG4_ACTION_RUN
 
 from .codegen import sys_context_refresh_sql
@@ -147,18 +148,19 @@ class ActionHandler:
         handoff = ambient.capture()
 
         def worker() -> None:
+            # the firing is recorded inside the adoption, so its hop
+            # carries the originating command's id like the action's
             with ambient.adopt(handoff):
                 record = self.run_action(runtime, occurrence)
-            firing = RuleFiring(
-                rule_name=rule.name,
-                event_name=rule.event_name,
-                occurrence=occurrence,
-                context=rule.context,
-                coupling=Coupling.DETACHED,
-                at=self.agent.led.clock.now(),
-                error=record.error,
-            )
-            self.agent.led.record_external_firing(firing)
+                self.agent.led.record_external_firing(RuleFiring(
+                    rule_name=rule.name,
+                    event_name=rule.event_name,
+                    occurrence=occurrence,
+                    context=rule.context,
+                    coupling=Coupling.DETACHED,
+                    at=self.agent.led.clock.now(),
+                    error=record.error,
+                ))
 
         thread = threading.Thread(
             target=worker, name=f"eca-action-{rule.name}", daemon=True)
@@ -205,29 +207,6 @@ class ActionHandler:
     def _run_action(self, runtime: TriggerRuntime,
                     occurrence: Occurrence) -> ActionRecord:
         trigger = runtime.definition
-        faults = self.agent.faults
-        if faults.enabled:
-            try:
-                faults.fire(POINT_ACTION_RUN, trigger.internal)
-            except Exception as exc:
-                record = ActionRecord(
-                    trigger_internal=trigger.internal,
-                    proc_name=trigger.proc_name,
-                    event_internal=trigger.event_internal,
-                    occurrence=occurrence,
-                    error=exc,
-                )
-                self.action_log.append(record)
-                if self.agent.metrics.enabled:
-                    self._m_actions.labels("error").inc()
-                journal = self.agent.journal
-                if journal is not None and journal.enabled:
-                    journal.record_action(
-                        trigger.internal, trigger.context.value,
-                        occurrence, error=exc)
-                if not self.agent.led.swallow_action_errors:
-                    raise
-                return record
         noti = NotiStr(
             store_proc=trigger.proc_name,
             event_name=trigger.event_internal,
@@ -239,10 +218,40 @@ class ActionHandler:
             event_internal=noti.event_name,
             occurrence=occurrence,
         )
+        start = time.perf_counter()
+        try:
+            faults = self.agent.faults
+            if faults.enabled:
+                faults.fire(POINT_ACTION_RUN, trigger.internal)
+            self._execute(runtime, record)
+        except Exception as exc:  # record and surface via the LED policy
+            record.error = exc
+            self.action_log.append(record)
+        # The one place the outcome is said: a metric and a hop, whether
+        # the action ran, failed, or was failed by an injected fault.
+        error = record.error
+        duration = time.perf_counter() - start
+        if self.agent.metrics.enabled:
+            self._m_actions.labels("ok" if error is None else "error").inc()
+            if error is None:
+                self._m_action_seconds.observe(duration)
+        events = self.agent.events
+        if events.planes:
+            events.hop(KIND_ACTION, trigger.internal, trigger.context.value,
+                       "ok" if error is None else f"error: {error}",
+                       cause=occurrence, duration=duration)
+        if error is not None and not self.agent.led.swallow_action_errors:
+            raise error
+        return record
+
+    def _execute(self, runtime: TriggerRuntime, record: ActionRecord) -> None:
+        """Refresh ``sysContext``, run the procedure under the handler's
+        locks, and route its output (fills in ``record``)."""
+        trigger = runtime.definition
         statements: list[str] = []
         params: dict[str, object] = {}
         if runtime.uses_context:
-            entries = context_entries(occurrence)
+            entries = context_entries(record.occurrence)
             refresh, params = sys_context_refresh_sql(
                 entries,
                 runtime.snapshot_tables,
@@ -250,7 +259,7 @@ class ActionHandler:
                 self.agent.persistent_manager.system_prefix(trigger.db_name),
             )
             statements.extend(refresh)
-        statements.append(f"execute {noti.store_proc}")
+        statements.append(f"execute {record.proc_name}")
         script = "\n".join(statements)
         # An IMMEDIATE action runs nested inside the client's engine
         # batch, which holds the exclusive gate: it is already serialized
@@ -258,8 +267,7 @@ class ActionHandler:
         # (a lock held by an action waiting for the gate would deadlock).
         # It gets a throwaway session for the same reason — the cached
         # identity session might be mid-script on another thread.
-        nested = self.agent.server.lock_manager.in_batch()
-        if nested:
+        if self.agent.server.lock_manager.in_batch():
             session = self.agent.server.create_session(
                 trigger.user_name, trigger.db_name)
             locks: list = []
@@ -268,43 +276,15 @@ class ActionHandler:
                 trigger.db_name, trigger.user_name)
             locks = [session_lock]
             locks.extend(self._serialization_locks(runtime))
-        metrics = self.agent.metrics
-        timed = metrics.enabled
-        journal = self.agent.journal
-        journaled = journal is not None and journal.enabled
-        if timed or journaled:
-            start = time.perf_counter()
-        try:
-            with ExitStack() as stack:
-                for lock in locks:
-                    stack.enter_context(lock)
-                with self.agent.trace.span(
-                        FIG4_ACTION_RUN, trigger.internal):
-                    result = self.agent.server.execute(
-                        script, session, params=params)
-                    # Figure 16: results flow back to the client through
-                    # the gateway (routing is part of the action span).
-                    self._finish(record, result)
-        except Exception as exc:  # record and surface via the LED policy
-            record.error = exc
-            self.action_log.append(record)
-            if timed:
-                self._m_actions.labels("error").inc()
-            if journaled:
-                journal.record_action(
-                    trigger.internal, trigger.context.value, occurrence,
-                    error=exc, duration=time.perf_counter() - start)
-            if not self.agent.led.swallow_action_errors:
-                raise
-            return record
-        if timed:
-            self._m_actions.labels("ok").inc()
-            self._m_action_seconds.observe(time.perf_counter() - start)
-        if journaled:
-            journal.record_action(
-                trigger.internal, trigger.context.value, occurrence,
-                duration=time.perf_counter() - start)
-        return record
+        with ExitStack() as stack:
+            for lock in locks:
+                stack.enter_context(lock)
+            with self.agent.events.span(FIG4_ACTION_RUN, trigger.internal):
+                result = self.agent.server.execute(
+                    script, session, params=params)
+                # Figure 16: results flow back to the client through
+                # the gateway (routing is part of the action span).
+                self._finish(record, result)
 
     def _finish(self, record: ActionRecord, result) -> None:
         record.messages = list(result.messages)

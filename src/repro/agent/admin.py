@@ -63,6 +63,23 @@ def _clip(text: str, limit: int = STATEMENT_CLIP) -> str:
     return flat[:limit - 3] + "..."
 
 
+def _span_rows(spans, with_trace_id: bool = False) -> ResultSet:
+    """Span events as ``show agent trace`` rows, indented by depth."""
+    rows = ResultSet(columns=[
+        "seq", "parent", *(["trace_id"] if with_trace_id else []),
+        "step", "detail", "duration_ms",
+    ])
+    for record in spans:
+        duration = record.duration
+        rows.rows.append([
+            record.seq, record.parent,
+            *([record.trace_id] if with_trace_id else []),
+            "  " * record.depth + record.step, record.detail,
+            None if duration is None else round(duration * 1e3, 4),
+        ])
+    return rows
+
+
 def _error_result(message: str) -> BatchResult:
     """A one-row error result set (argument problems are answered, not
     raised: the client's batch keeps working)."""
@@ -172,19 +189,7 @@ class AgentAdmin:
 
     def _show_trace(self, count: int) -> BatchResult:
         trace = self.agent.trace
-        rows = ResultSet(columns=[
-            "seq", "parent", "step", "detail", "duration_ms",
-        ])
-        for record in trace.tail(count):
-            duration = record.duration
-            rows.rows.append([
-                record.seq,
-                record.parent,
-                "  " * record.depth + record.step,
-                record.detail,
-                None if duration is None else round(duration * 1e3, 4),
-            ])
-        result = BatchResult(result_sets=[rows])
+        result = BatchResult(result_sets=[_span_rows(trace.tail(count))])
         if not trace.enabled:
             result.messages.append(
                 "Agent tracing is off; enable with 'set agent trace on'.")
@@ -195,28 +200,14 @@ class AgentAdmin:
         pinned span (client-thread, worker-thread queue-wait, detached
         action threads, notification listener) indented by its depth in
         the shared tree."""
-        trace = self.agent.trace
-        spans = trace.spans_for(trace_id)
+        spans = self.agent.trace.spans_for(trace_id)
         if not spans:
             return _error_result(
                 f"no stored trace with id {trace_id!r}; ids appear in "
                 "telemetry lines, 'show agent slow', and histogram "
                 "exemplars")
-        rows = ResultSet(columns=[
-            "seq", "parent", "trace_id", "step", "detail", "duration_ms",
-        ])
-        for record in spans:
-            duration = record.duration
-            rows.rows.append([
-                record.seq,
-                record.parent,
-                record.trace_id,
-                "  " * record.depth + record.step,
-                record.detail,
-                None if duration is None else round(duration * 1e3, 4),
-            ])
         return BatchResult(
-            result_sets=[rows],
+            result_sets=[_span_rows(spans, with_trace_id=True)],
             messages=[f"Trace {trace_id}: {len(spans)} span(s)."])
 
     def _trace_next(self, n: str | None) -> BatchResult:
@@ -490,14 +481,15 @@ class AgentAdmin:
             "spans", "provenance", "plan",
         ])
         for record in flightrec.tail(count):
-            counters = record.counters
+            attrs = record.attrs
+            counters = attrs["counters"]
             rows.rows.append([
-                record.seq, record.kind, record.duration_ms,
-                record.threshold_ms, record.session_id, record.user,
-                record.statement, record.trace_id,
+                record.seq, record.name, attrs["duration_ms"],
+                attrs["threshold_ms"], attrs["session_id"], attrs["user"],
+                attrs["statement"], record.trace_id,
                 counters.get("rows_scanned", 0),
-                counters.get("actions", 0), len(record.spans),
-                len(record.provenance), record.plan,
+                counters.get("actions", 0), len(attrs["spans"]),
+                len(attrs["provenance"]), attrs["plan"],
             ])
         result = BatchResult(result_sets=[rows])
         if not flightrec.armed:

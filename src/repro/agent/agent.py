@@ -22,7 +22,6 @@ from repro.faults import (
 from repro.led import LocalEventDetector, ManualClock
 from repro.led.clock import VirtualClock
 from repro.led.rules import Context, Coupling
-from repro.obs.ambient import Ambient
 from repro.obs.tracing import (
     FIG3_GRAPH_CREATED,
     FIG3_PERSISTED,
@@ -101,25 +100,9 @@ class EcaAgent:
             persistence writes and notification delivery; defaults to 3
             fast attempts with no backoff.  Pass
             ``RetryPolicy(max_attempts=1)`` to fail fast.
-        journal: a :class:`~repro.obs.ProvenanceJournal` recording the
-            causal lineage of every firing; defaults to a disabled
-            journal an operator can turn on with
-            ``set agent provenance on``.
         exporter: an optional :class:`~repro.obs.TelemetryExporter`; when
-            attached, ``export agent telemetry`` snapshots metrics,
-            spans, and provenance into its JSONL file.
-        accounting: an optional :class:`~repro.obs.OpAccounting`; by
-            default a fresh always-on plane (plain int adds per hook)
-            charging every command to its session and every action to
-            its rule — ``show agent top [rules|sessions]``.  Pass
-            ``OpAccounting(enabled=False)`` to reduce each hook to one
-            branch.
-        flightrec: an optional :class:`~repro.obs.FlightRecorder`; by
-            default an unarmed recorder (``set agent slowlog <ms>`` arms
-            it, ``show agent slow`` dumps it).
-        health_rules: override the watchdog's rule set (default:
-            :data:`~repro.obs.DEFAULT_HEALTH_RULES`) behind
-            ``show agent health``.
+            attached, ``export agent telemetry`` snapshots metrics, the
+            event stream and accounting totals into its JSONL file.
         workers: gateway worker-pool size; 0 (default) runs every
             command inline on the client's thread.  Resizable at runtime
             with ``set agent workers <N>``.
@@ -134,13 +117,10 @@ class EcaAgent:
                  metrics: "MetricsRegistry | None" = None,
                  faults: "FaultInjector | FaultPlan | None" = None,
                  retry: RetryPolicy | None = None,
-                 journal: "ProvenanceJournal | None" = None,
                  exporter: "TelemetryExporter | None" = None,
-                 accounting: "OpAccounting | None" = None,
-                 flightrec: "FlightRecorder | None" = None,
-                 health_rules=None,
                  workers: int = 0):
         from repro.obs import (
+            EventLog,
             FlightRecorder,
             HealthEvaluator,
             MetricsRegistry,
@@ -154,27 +134,31 @@ class EcaAgent:
         #: (``set agent stats|trace|provenance on``).
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             enabled=False)
-        self.trace = PipelineTrace()
-        self.journal = journal if journal is not None else ProvenanceJournal(
-            enabled=False)
+        #: the one event stream (spans, provenance hops, slow ops) and
+        #: its three views; every hook site records through ``events``.
+        self.events = EventLog()
+        self.trace = PipelineTrace(log=self.events)
+        self.journal = ProvenanceJournal(log=self.events)
+        #: armed via ``set agent slowlog <ms>``, dumped by ``show agent
+        #: slow``
+        self.flightrec = FlightRecorder(log=self.events)
         self.exporter = exporter
-        #: the health plane: resource accounting (always-on), the slow-op
-        #: flight recorder (armed via ``set agent slowlog``), and the
-        #: watchdog evaluating declarative health rules on demand.
-        self.accounting = accounting if accounting is not None else (
-            OpAccounting())
+        #: resource accounting: always on (plain int adds per hook),
+        #: charging every command to its session and every action to its
+        #: rule — ``show agent top [rules|sessions]``.
+        self.accounting = OpAccounting()
         #: the one per-thread ambient context (open spans, inherited
-        #: trace context, provenance parents, accounting frames) all
-        #: three planes read and write, so every hand-off — pool queue,
-        #: DETACHED thread, datagram — is one ``capture()``/``adopt()``
-        #: and journal records carry the active command's trace id.
-        self.ambient = Ambient()
+        #: command context, hop parents, accounting frames) the event
+        #: log and the accounting plane read and write, so every
+        #: hand-off — pool queue, DETACHED thread, datagram — is one
+        #: ``capture()``/``adopt()`` and every event carries the active
+        #: command's id.
+        self.ambient = self.events.ambient
         self.ambient.accounting = self.accounting
-        for plane in (self.trace, self.journal, self.accounting):
-            plane.ambient = self.ambient
-        self.flightrec = flightrec if flightrec is not None else (
-            FlightRecorder())
-        self.health_evaluator = HealthEvaluator(health_rules)
+        self.accounting.ambient = self.ambient
+        #: the watchdog evaluating declarative health rules on demand
+        #: (``show agent health``).
+        self.health_evaluator = HealthEvaluator()
         #: the fault-injection harness (disabled unless a plan was armed)
         #: and the retry policy shared by the resilient call sites.
         if isinstance(faults, FaultPlan):
@@ -232,7 +216,7 @@ class EcaAgent:
             v_no_lookup=self._v_no_lookup,
             metrics=self.metrics,
             faults=self.faults,
-            journal=self.journal,
+            events=self.events,
         )
         self.channel = self._make_channel(channel)
 
@@ -244,7 +228,7 @@ class EcaAgent:
             # originating command's trace even across an async channel's
             # listener thread.
             payload, adopted = adopt_payload(payload, self.ambient)
-            with adopted, self.trace.span(FIG4_NOTIFIED, payload):
+            with adopted, self.events.span(FIG4_NOTIFIED, payload):
                 self.notifier.on_payload(payload)
 
         def send(host: str, port: int, payload: str) -> None:
@@ -330,16 +314,16 @@ class EcaAgent:
         return list(self.led.history)
 
     def export_telemetry(self, label: str = "") -> int:
-        """Snapshot metrics + spans + provenance + slow ops + accounting
-        totals into the attached :class:`~repro.obs.TelemetryExporter`'s
+        """Snapshot metrics + the event stream (spans, provenance, slow
+        ops) + accounting totals into the attached
+        :class:`~repro.obs.TelemetryExporter`'s
         JSONL file; returns the number of lines written.  Raises
         :class:`AgentError` when no exporter is attached."""
         if self.exporter is None:
             raise AgentError("no telemetry exporter attached to this agent")
         return self.exporter.export_snapshot(
-            metrics=self.metrics, trace=self.trace, journal=self.journal,
-            flightrec=self.flightrec, accounting=self.accounting,
-            label=label)
+            metrics=self.metrics, events=self.events,
+            accounting=self.accounting, label=label)
 
     def health(self) -> "HealthReport":
         """Evaluate the watchdog rules against the agent's live
@@ -394,7 +378,7 @@ class EcaAgent:
         models process death, and consistency is then restored by
         :meth:`recover` on the next start.
         """
-        with self.trace.span(SPAN_ECA_PARSE):
+        with self.events.span(SPAN_ECA_PARSE):
             command = parse_eca_command(sql)
         if self.metrics.enabled:
             self._m_eca_commands.labels(command.kind).inc()
@@ -403,7 +387,7 @@ class EcaAgent:
             CREATE_PRIMITIVE, CREATE_COMPOSITE, CREATE_ON_EVENT)
         with self._eca_lock:
             snapshot = self._state_snapshot() if creates else None
-            with self.trace.span(SPAN_ECA_CODEGEN, command.kind):
+            with self.events.span(SPAN_ECA_CODEGEN, command.kind):
                 try:
                     self._dispatch_eca(command, session, result)
                 except Exception:
@@ -582,7 +566,7 @@ class EcaAgent:
 
         self.primitive_events[event.internal.lower()] = event
         self.led.define_primitive(event.internal)
-        self.trace.emit(FIG3_GRAPH_CREATED, event.internal)
+        self.events.emit(FIG3_GRAPH_CREATED, event.internal)
         key = self._table_op_key(event)
         registration = self.table_ops.get(key)
         if registration is None:
@@ -595,10 +579,10 @@ class EcaAgent:
             self.table_ops[key] = registration
         registration.event_internals.append(event.internal)
         self._regenerate_native_trigger(key)
-        self.trace.emit(FIG3_SQL_INSTALLED, event.native_trigger_name)
+        self.events.emit(FIG3_SQL_INSTALLED, event.native_trigger_name)
         if persist:
             pm.persist_primitive(event)
-            self.trace.emit(FIG3_PERSISTED, event.internal)
+            self.events.emit(FIG3_PERSISTED, event.internal)
 
     @staticmethod
     def _table_op_key(event: PrimitiveEventDef) -> tuple[str, str, str, str]:
@@ -734,7 +718,7 @@ class EcaAgent:
             )
             pm.execute(trigger.db_name, proc_sql)
 
-        self.trace.emit(FIG3_SQL_INSTALLED, trigger.proc_name)
+        self.events.emit(FIG3_SQL_INSTALLED, trigger.proc_name)
         runtime = TriggerRuntime(
             definition=trigger,
             snapshot_tables=snapshot_tables,
@@ -763,7 +747,7 @@ class EcaAgent:
             )
         if persist:
             pm.persist_trigger(trigger)
-            self.trace.emit(FIG3_PERSISTED, trigger.internal)
+            self.events.emit(FIG3_PERSISTED, trigger.internal)
 
     def _constituent_primitives(self, event_internal: str) -> list[PrimitiveEventDef]:
         """Transitively collect the primitive events under an event."""

@@ -137,7 +137,7 @@ class GatewayOpenServer:
         the queue-wait span).
         """
         pool = self._pool
-        ctx = self.agent.trace.command_context(session)
+        ctx = self.agent.events.command_context(session)
         while pool is not None and isinstance(session, AgentSession):
             enqueued_at = time.perf_counter()
             try:
@@ -240,10 +240,11 @@ class GatewayOpenServer:
                      enqueued_at: float | None = None) -> BatchResult:
         """Execute one routed command on the current thread.
 
-        ``ctx`` is the trace context minted at submit time (None with
-        tracing off); it is adopted here so the whole Figure 3/4
-        span tree — including work on this worker thread and any threads
-        it hands off to — hangs off one trace id.  ``enqueued_at`` (pool
+        ``ctx`` is the command context minted at submit time (None with
+        every record plane off); it is adopted here so every event
+        recorded for the command — on this worker thread and any thread
+        it hands off to — carries one command id, and the Figure 3/4
+        span tree hangs off one root.  ``enqueued_at`` (pool
         path only) dates the submit, yielding the queue-wait span and
         the ``agent_queue_wait_seconds`` observation.
 
@@ -262,12 +263,10 @@ class GatewayOpenServer:
         timed = metrics.enabled
         accounting = agent.accounting
         frame = accounting.begin(session)
-        flightrec = agent.flightrec
-        # Snapshot the threshold with the marks: ``set agent slowlog off``
-        # issued *by this command* must not null the threshold under us.
-        slow_threshold = flightrec.threshold_ms if flightrec.armed else None
-        marks = (flightrec.marks(agent.trace, agent.journal)
-                 if slow_threshold is not None else None)
+        events = agent.events
+        # Read the threshold before routing: ``set agent slowlog off``
+        # issued *by this command* must not null it under us.
+        slow_threshold = events.slow_ms
         # The health and accounting planes need wall time even with
         # stats off; one perf_counter pair per command is in the noise.
         start = time.perf_counter()
@@ -276,14 +275,13 @@ class GatewayOpenServer:
         trace_id = ctx.trace_id if ctx is not None else None
         kind = "error"
         try:
-            trace = agent.trace
             # Detail: the command's first line, capped (sliced first —
             # this is evaluated with tracing off too).
-            with trace.activate(ctx), trace.span(
+            with events.activate(ctx), events.span(
                     FIG3_COMMAND_RECEIVED, sql[:60].partition("\n")[0]):
                 if enqueued_at is not None:
-                    trace.record_span(SPAN_QUEUE_WAIT,
-                                      start=enqueued_at, end=start)
+                    events.record_span(SPAN_QUEUE_WAIT,
+                                       start=enqueued_at, end=start)
                 kind, result = self._route(session, sql)
         except FaultError as exc:
             kind = "degraded"
@@ -299,12 +297,11 @@ class GatewayOpenServer:
                         duration, trace_id)
                 else:
                     self._m_command_seconds.labels(kind).observe(duration)
-            if (marks is not None
+            if (slow_threshold is not None
                     and duration * 1e3 >= slow_threshold):
-                flightrec.capture(
+                agent.flightrec.capture(
                     kind=kind, statement=sql, session=session,
-                    duration=duration, frame=frame, trace=agent.trace,
-                    journal=agent.journal, marks=marks,
+                    duration=duration, frame=frame,
                     threshold_ms=slow_threshold, trace_id=trace_id,
                     plan=agent.server.explain_text(
                         sql, getattr(session, "server_session", session)))
@@ -314,8 +311,8 @@ class GatewayOpenServer:
     def _route(self, session, sql: str) -> tuple[str, BatchResult]:
         """Classify and dispatch; returns (classification label, result)."""
         filter_ = self.agent.language_filter
-        trace = self.agent.trace
-        with trace.span(SPAN_CLASSIFY):
+        events = self.agent.events
+        with events.span(SPAN_CLASSIFY):
             kind = filter_.classify(sql)
 
         if kind == filter_.AGENT_ADMIN:
@@ -330,7 +327,7 @@ class GatewayOpenServer:
 
         if kind == filter_.ECA:
             self.commands_eca += 1
-            trace.emit(FIG3_CLASSIFIED_ECA)
+            events.emit(FIG3_CLASSIFIED_ECA)
             return "eca", self.agent.handle_eca(sql, session)
 
         if kind == filter_.MAYBE_DROP_TRIGGER:
@@ -339,7 +336,7 @@ class GatewayOpenServer:
                 return "eca", self.agent.handle_eca(sql, session)
 
         self.commands_passed_through += 1
-        trace.emit(FIG3_PASSED_THROUGH)
+        events.emit(FIG3_PASSED_THROUGH)
         return "passthrough", self._pass_through(session, sql)
 
     def _pass_through(self, session, sql: str) -> BatchResult:
@@ -375,5 +372,5 @@ class GatewayOpenServer:
             return False
         slot.messages.extend(action_result.messages)
         slot.result_sets.extend(action_result.result_sets)
-        self.agent.trace.emit(FIG4_RESULTS_ROUTED)
+        self.agent.events.emit(FIG4_RESULTS_ROUTED)
         return True

@@ -26,7 +26,7 @@ import time
 from typing import Callable
 
 from repro.faults import Directive, POINT_NOTIFIER_DECODE
-from repro.obs.provenance import KIND_NOTIFICATION
+from repro.obs.events import KIND_NOTIFICATION
 
 from .errors import NotificationError
 from .messages import Notification
@@ -205,14 +205,14 @@ class EventNotifier:
             at the ``notifier.decode`` point before decoding; a DROP
             directive silently discards the notification (counted in
             :attr:`dropped`).
-        journal: optional :class:`~repro.obs.ProvenanceJournal`; while
-            enabled, each payload is journaled as a ``notification``
-            record that becomes the causal parent of the raise (and
-            everything downstream of it).
+        events: optional :class:`~repro.obs.EventLog`; while its
+            provenance plane is on, each payload is recorded as a
+            ``notification`` hop that becomes the causal parent of the
+            raise (and everything downstream of it).
     """
 
     def __init__(self, led, event_lookup, v_no_lookup=None, metrics=None,
-                 faults=None, journal=None):
+                 faults=None, events=None):
         self.led = led
         self.event_lookup = event_lookup
         self.v_no_lookup = v_no_lookup
@@ -225,7 +225,7 @@ class EventNotifier:
         self.coalesced_events: int = 0
         self.faults = faults
         self.metrics = metrics
-        self.journal = journal
+        self.events = events
         if metrics is not None:
             self._m_notifications = metrics.counter(
                 "agent_notifications_total",
@@ -257,37 +257,36 @@ class EventNotifier:
                            payload) is Directive.DROP:
                 self.dropped += 1
                 return
-        journal = self.journal
-        journaled = journal is not None and journal.enabled
-        if journaled:
-            # The 5th token of the (first) segment is the internal event
-            # name (see Notification.encode); malformed payloads are
-            # journaled too.  One record parents every raise the payload
-            # carries, so a coalesced datagram has one causal root.
-            parts = payload.split(";", 1)[0].split()
-            record = journal.append(
-                KIND_NOTIFICATION,
-                parts[4] if len(parts) >= 5 else "malformed",
-                detail=payload)
-            journal.push(record.seq)
+        events = self.events
+        if events is None or not events.planes:
+            self._decode_and_raise(payload)
+            return
+        # The 5th token of the (first) segment is the internal event
+        # name (see Notification.encode); malformed payloads are
+        # recorded too.  One hop parents every raise the payload
+        # carries, so a coalesced datagram has one causal root.
+        parts = payload.split(";", 1)[0].split()
+        hop = events.hop(
+            KIND_NOTIFICATION, parts[4] if len(parts) >= 5 else "malformed",
+            detail=payload, parents=())
+        with events.under(hop):
+            self._decode_and_raise(payload)
+
+    def _decode_and_raise(self, payload: str) -> None:
+        metrics = self.metrics
+        if metrics is None or not metrics.enabled:
+            self._raise_all(Notification.decode_batch(payload))
+            return
+        start = time.perf_counter()
         try:
-            metrics = self.metrics
-            if metrics is None or not metrics.enabled:
-                self._raise_all(Notification.decode_batch(payload))
-                return
-            start = time.perf_counter()
-            try:
-                notifications = Notification.decode_batch(payload)
-                self._raise_all(notifications)
-            except Exception:
-                self._m_notifications.labels("error").inc()
-                raise
-            self._m_notifications.labels("ok").inc()
-            self._m_notification_seconds.observe(time.perf_counter() - start)
-            self._m_batch_events.observe(len(notifications))
-        finally:
-            if journaled:
-                journal.pop()
+            notifications = Notification.decode_batch(payload)
+            self._raise_all(notifications)
+        except Exception:
+            self._m_notifications.labels("error").inc()
+            raise
+        self._m_notifications.labels("ok").inc()
+        self._m_notification_seconds.observe(time.perf_counter() - start)
+        self._m_batch_events.observe(len(notifications))
 
     def on_notification(self, notification: Notification) -> None:
         """Raise one already-decoded notification (non-batched entry)."""

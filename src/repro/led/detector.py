@@ -29,7 +29,8 @@ from repro.snoop import (
     parse_event_expression,
 )
 
-from repro.obs.provenance import (
+from repro.obs.events import (
+    HOPS,
     KIND_CONDITION,
     KIND_FIRING,
     KIND_RAISE,
@@ -129,6 +130,9 @@ class LocalEventDetector:
         self.metrics = None
         self.trace = None
         self.journal = None
+        #: the event log behind the attached trace / journal views — the
+        #: one handle every hook site records through (None: detached)
+        self.eventlog = None
         #: optional fault-injection harness (``led.raise`` point); the
         #: agent attaches its injector, standalone detectors leave None
         self.faults = None
@@ -155,16 +159,23 @@ class LocalEventDetector:
                              journal=None) -> None:
         """Attach a :class:`~repro.obs.MetricsRegistry`, a
         :class:`~repro.obs.PipelineTrace`, and/or a
-        :class:`~repro.obs.ProvenanceJournal`.
+        :class:`~repro.obs.ProvenanceJournal` (two views of one
+        :class:`~repro.obs.EventLog` when both are given).
 
         Hooks cost one branch per event/rule while the sinks are disabled
         (or detached); detection counts are labeled by event kind and
-        parameter context, firings by coupling mode.  The journal records
-        the causal lineage of every raise, detection, condition and firing.
+        parameter context, firings by coupling mode.  The log records a
+        span per stage and the causal lineage of every raise, detection,
+        condition and firing — whichever of the two planes is on.
         """
+        views = [view for view in (trace, journal) if view is not None]
+        if len(views) == 2 and trace.log is not journal.log:
+            raise ValueError(
+                "trace and journal must be views of one EventLog")
         self.metrics = metrics
         self.trace = trace
         self.journal = journal
+        self.eventlog = views[0].log if views else None
         if metrics is not None:
             self._m_detected = metrics.counter(
                 "led_events_detected_total",
@@ -536,25 +547,15 @@ class LocalEventDetector:
         metrics = self.metrics
         if metrics is not None and metrics.enabled:
             self._m_detected.labels("primitive", "-").inc()
-        journal = self.journal
-        journaled = journal is not None and journal.enabled
-        if journaled:
-            record = journal.append(
-                KIND_RAISE, name, detail=f"t={time:g}",
-                parents=journal.ambient_parents())
-            journal.register(occurrence, record.seq)
-            journal.observe_node(name, "-", fires=1)
-            journal.push(record.seq)
-        try:
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                with trace.span(SPAN_LED_RAISE, name):
-                    node.on_raise(occurrence)
-            else:
-                node.on_raise(occurrence)
-        finally:
-            if journaled:
-                journal.pop()
+        eventlog = self.eventlog
+        if eventlog is None or not eventlog.planes:
+            node.on_raise(occurrence)
+            return
+        eventlog.observe_node(name, "-", fires=1)
+        hop = eventlog.hop(KIND_RAISE, name, detail=f"t={time:g}",
+                         binds=occurrence)
+        with eventlog.under(hop), eventlog.span(SPAN_LED_RAISE, name):
+            node.on_raise(occurrence)
 
     def process_timers(self) -> list[RuleFiring]:
         """Run all timers due at the current clock time; returns firings."""
@@ -640,12 +641,10 @@ class LocalEventDetector:
         if parameter:
             params["parameter"] = parameter
         occurrence = primitive(name, fire_time, next(self._seq), params)
-        journal = self.journal
-        if journal is not None and journal.enabled:
-            record = journal.append(
-                KIND_TIMER, name, detail=f"t={fire_time:g}",
-                parents=journal.ambient_parents())
-            journal.register(occurrence, record.seq)
+        eventlog = self.eventlog
+        if eventlog is not None and eventlog.planes:
+            eventlog.hop(KIND_TIMER, name, detail=f"t={fire_time:g}",
+                       binds=occurrence)
         return occurrence
 
     def _dispatch_rules(self, node: EventNode, occurrence: Occurrence,
@@ -655,10 +654,8 @@ class LocalEventDetector:
             return
         metrics = self.metrics
         counted = metrics is not None and metrics.enabled
-        trace = self.trace
-        traced = trace is not None and trace.enabled
-        journal = self.journal
-        journaled = journal is not None and journal.enabled
+        eventlog = self.eventlog
+        planes = eventlog.planes if eventlog is not None else 0
         for rule in rules:
             if not rule.enabled:
                 continue
@@ -668,32 +665,25 @@ class LocalEventDetector:
             try:
                 if rule.condition is always_true:
                     passed = True
-                elif traced:
-                    with trace.span(SPAN_RULE_CONDITION, rule.name):
+                elif planes:
+                    with eventlog.span(SPAN_RULE_CONDITION, rule.name):
                         passed = bool(rule.condition(occurrence))
+                    eventlog.hop(KIND_CONDITION, rule.name, effective.value,
+                               "passed" if passed else "failed",
+                               cause=occurrence)
                 else:
                     passed = bool(rule.condition(occurrence))
                 if counted:
                     self._m_conditions.labels(
                         "true" if passed else "false").inc()
-                if journaled and rule.condition is not always_true:
-                    journal.append(
-                        KIND_CONDITION, rule.name,
-                        context=effective.value,
-                        detail="passed" if passed else "failed",
-                        parents=journal.ids_for((occurrence,))
-                        or journal.ambient_parents())
                 if not passed:
                     continue
             except Exception as exc:
                 if counted:
                     self._m_conditions.labels("error").inc()
-                if journaled:
-                    journal.append(
-                        KIND_CONDITION, rule.name,
-                        context=effective.value, detail=f"error: {exc}",
-                        parents=journal.ids_for((occurrence,))
-                        or journal.ambient_parents())
+                if planes:
+                    eventlog.hop(KIND_CONDITION, rule.name, effective.value,
+                               f"error: {exc}", cause=occurrence)
                 self._record(RuleFiring(
                     rule.name, node.name, occurrence, effective,
                     rule.coupling, self.clock.now(), error=exc))
@@ -702,7 +692,7 @@ class LocalEventDetector:
                 continue
             if counted:
                 self._m_rules_fired.labels(rule.coupling.value).inc()
-            if journaled:
+            if planes & HOPS:
                 rule.note_fired(self.clock.now())
             if rule.coupling is Coupling.IMMEDIATE:
                 self._run_action(rule, occurrence, effective)
@@ -722,9 +712,9 @@ class LocalEventDetector:
             rule.name, rule.event_name, occurrence, context,
             rule.coupling, self.clock.now())
         try:
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                with trace.span(SPAN_RULE_ACTION, rule.name):
+            eventlog = self.eventlog
+            if eventlog is not None and eventlog.planes:
+                with eventlog.span(SPAN_RULE_ACTION, rule.name):
                     rule.action(occurrence)
             else:
                 rule.action(occurrence)
@@ -751,14 +741,11 @@ class LocalEventDetector:
         self._journal_firing(firing)
 
     def _journal_firing(self, firing: RuleFiring) -> None:
-        journal = self.journal
-        if journal is None or not journal.enabled:
+        eventlog = self.eventlog
+        if eventlog is None or not eventlog.planes:
             return
         detail = firing.coupling.value.lower()
         if firing.error is not None:
             detail = f"{detail}; error: {firing.error}"
-        journal.append(
-            KIND_FIRING, firing.rule_name, context=firing.context.value,
-            detail=detail,
-            parents=journal.ids_for((firing.occurrence,))
-            or journal.ambient_parents())
+        eventlog.hop(KIND_FIRING, firing.rule_name, firing.context.value,
+                   detail, cause=firing.occurrence)

@@ -91,46 +91,37 @@ class EventNode:
         accounting = detector.accounting
         if accounting is not None and accounting.active():
             accounting.note_detection()
-        trace = detector.trace
-        traced = trace is not None and trace.enabled
-        if traced:
-            trace.emit(FIG4_DETECTED, f"{self.name} [{context.value}]")
-        journal = detector.journal
-        journaled = journal is not None and journal.enabled
-        if journaled:
+        eventlog = detector.eventlog
+        recording = eventlog is not None and eventlog.planes
+        if recording:
+            eventlog.emit(FIG4_DETECTED, f"{self.name} [{context.value}]")
             # RECENT keeps its initiators for reuse; every other context
             # consumes the occurrences incorporated into a detection.
-            journal.record_detection(
-                self.name, context.value, occurrence,
-                consuming=context is not Context.RECENT)
+            eventlog.detection(self.name, context.value, occurrence,
+                             consuming=context is not Context.RECENT)
         log = detector.detection_log
         if log is not None:
             log.append((self.name, context, occurrence))
         detector._dispatch_rules(self, occurrence, context)
         for parent, role in self.parents:
             if context in parent.active_contexts:
-                if traced or journaled:
+                if recording:
                     self._feed_slow(parent, role, occurrence, context,
-                                    trace if traced else None,
-                                    journal if journaled else None)
+                                    eventlog)
                 else:
                     parent.process(role, occurrence, context)
 
     def _feed_slow(self, parent: "EventNode", role: str,
                    occurrence: Occurrence, context: Context,
-                   trace, journal) -> None:
-        """Traced/journaled propagation of one occurrence into one parent
-        (spans the hop; times it into the parent's latency window)."""
-        start = journal.now() if journal is not None else 0.0
-        if trace is not None:
-            with trace.span(SPAN_LED_OP_PREFIX + type(parent).__name__,
-                            parent.name):
-                parent.process(role, occurrence, context)
-        else:
+                   eventlog) -> None:
+        """Recorded propagation of one occurrence into one parent (spans
+        the hop; times it into the parent's latency window)."""
+        start = eventlog.clock()
+        with eventlog.span(SPAN_LED_OP_PREFIX + type(parent).__name__,
+                         parent.name):
             parent.process(role, occurrence, context)
-        if journal is not None:
-            journal.observe_node(parent.name, context.value,
-                                 latency=journal.now() - start)
+        eventlog.observe_node(parent.name, context.value,
+                            latency=eventlog.clock() - start)
 
     def reset(self) -> None:
         """Discard any partial detection state (composites override)."""
@@ -149,10 +140,8 @@ class PrimitiveEventNode(EventNode):
 
     def on_raise(self, occurrence: Occurrence) -> None:
         detector = self.detector
-        trace = detector.trace
-        traced = trace is not None and trace.enabled
-        journal = detector.journal
-        journaled = journal is not None and journal.enabled
+        eventlog = detector.eventlog
+        recording = eventlog is not None and eventlog.planes
         detector._dispatch_rules(self, occurrence, None)
         for parent, role in self.parents:
             # Canonical Context definition order, not set order: Enum
@@ -163,10 +152,9 @@ class PrimitiveEventNode(EventNode):
             for context in Context:
                 if context not in parent.active_contexts:
                     continue
-                if traced or journaled:
+                if recording:
                     self._feed_slow(parent, role, occurrence, context,
-                                    trace if traced else None,
-                                    journal if journaled else None)
+                                    eventlog)
                 else:
                     parent.process(role, occurrence, context)
 

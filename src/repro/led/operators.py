@@ -63,12 +63,12 @@ class CompositeNode(EventNode):
 
     def _compose(self, parts: list[Occurrence]) -> Occurrence:
         composed = compose(self.name, parts)
-        journal = self.detector.journal
-        if journal is not None and journal.enabled:
-            # Stage the direct parts' record ids now: composition flattens
+        eventlog = self.detector.eventlog
+        if eventlog is not None and eventlog.planes:
+            # Stage the direct parts' hop ids now: composition flattens
             # constituents to primitives, so operator-level lineage edges
             # (this composite <- that composite) exist only here.
-            journal.note_parts(composed, parts)
+            eventlog.note_parts(composed, parts)
         return composed
 
 

@@ -1,49 +1,57 @@
 """``repro.obs`` — the end-to-end observability layer.
 
-The parts, mirroring what the paper's evaluation (Figures 15-17)
-measures by hand:
+One event stream, several views, mirroring what the paper's evaluation
+(Figures 15-17) measures by hand:
 
+- :mod:`repro.obs.events` — the stream itself: one :class:`Event` record
+  (a span, a provenance hop or a slow-op summary, told apart by
+  ``kind``) in one bounded :class:`EventLog` per agent (one sequence
+  counter, one lock, one clock), every event stamped with the id of the
+  client command it was recorded for;
+- :mod:`repro.obs.tracing`, :mod:`repro.obs.provenance`,
+  :mod:`repro.obs.flightrec` — the three :class:`View`\\ s of that log:
+  :class:`PipelineTrace` (timed, nested spans keyed by the paper's
+  Figure 3/4 step names), :class:`ProvenanceJournal` (every
+  notification, raise, detection, condition, firing and action as a
+  parent-linked hop, plus exact per-(node, context) fire/consumption
+  aggregates) and :class:`FlightRecorder` (``set agent slowlog <ms>`` /
+  ``show agent slow``).  A view is an on/off flag and read-time filters;
+  it stores nothing;
 - :mod:`repro.obs.ambient` — the one per-thread ambient context
   (:class:`Ambient`: open spans, inherited :class:`TraceContext`,
-  provenance parents, accounting frames) and its one hand-off
+  hop parents, accounting frames) and its one hand-off
   (``capture() -> Handoff`` / ``adopt(handoff)`` / ``reset()``) across
   queues, threads and the ``;tc=`` datagram trailer;
-- :mod:`repro.obs.boundedlog` — the one bounded, seq-stamped record log
-  (:class:`BoundedLog`) the trace, journal and flight recorder extend;
+- :mod:`repro.obs.boundedlog` — the bounded, seq-stamped record log
+  (:class:`BoundedLog`) the event log extends;
+- :mod:`repro.obs.export` — the :class:`TelemetryExporter` snapshotting
+  metrics, the event stream and accounting totals into rotating,
+  size-bounded JSONL through one ``Event`` → line function;
 - :mod:`repro.obs.metrics` — thread-safe :class:`Counter` / :class:`Gauge`
   / :class:`Histogram` primitives behind a labeled
   :class:`MetricsRegistry`, with text and dict exporters;
-- :mod:`repro.obs.tracing` — the span-based :class:`PipelineTrace`
-  (timed, nested records keyed by the paper's Figure 3/4 step names);
-- :mod:`repro.obs.provenance` — the causality-aware
-  :class:`ProvenanceJournal` (every notification, raise, detection,
-  condition, firing and action as a parent-linked record, plus exact
-  per-(node, context) fire/consumption aggregates);
-- :mod:`repro.obs.export` — the :class:`TelemetryExporter` snapshotting
-  all surfaces into rotating, size-bounded JSONL;
 - :mod:`repro.obs.opcontext` — ambient per-session / per-rule resource
   accounting (:class:`OpAccounting`, surfaced by ``show agent top``);
-- :mod:`repro.obs.flightrec` — the slow-op :class:`FlightRecorder`
-  (``set agent slowlog <ms>`` / ``show agent slow``);
 - :mod:`repro.obs.health` — the declarative watchdog
-  (:class:`HealthEvaluator` behind ``show agent health``);
-- the process-wide default instances behind :func:`get_metrics` /
-  :func:`get_trace`, for code that wants one shared sink.
+  (:class:`HealthEvaluator` behind ``show agent health``).
 
-The ECA Agent owns a *private* registry and trace per instance (so
-side-by-side agents and tests never share state) and exposes them to
-clients through the ``show agent stats`` / ``show agent trace`` operator
-commands; the defaults here serve standalone LED or engine embeddings.
+Metrics and accounting are aggregates, not records, and stay outside the
+stream.  The ECA Agent owns a *private* registry, event log and
+accounting plane per instance (so side-by-side agents and tests never
+share state) and exposes them to clients through the ``show agent ...``
+operator commands.
 
-Everything is off by default and costs one branch per hook when off.
+Everything but accounting is off by default and costs one branch per
+hook when off.
 """
 
 from __future__ import annotations
 
 from .ambient import Ambient, Handoff
 from .boundedlog import BoundedLog
+from .events import Event, EventLog, View
 from .export import TelemetryExporter
-from .flightrec import FlightRecorder, SlowOp
+from .flightrec import FlightRecorder
 from .health import (
     DEFAULT_HEALTH_RULES,
     HealthEvaluator,
@@ -66,7 +74,7 @@ from .metrics import (
     summarize,
 )
 from .opcontext import OpAccounting, OpContext, RuleTotals, SessionTotals
-from .provenance import NodeStat, ProvenanceJournal, ProvenanceRecord
+from .provenance import NodeStat, ProvenanceJournal
 from .tracing import (
     FIG3_CLASSIFIED_ECA,
     FIG3_COMMAND_RECEIVED,
@@ -87,7 +95,6 @@ from .tracing import (
     SPAN_RULE_ACTION,
     SPAN_RULE_CONDITION,
     PipelineTrace,
-    SpanRecord,
     TraceContext,
 )
 
@@ -97,6 +104,8 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_HEALTH_RULES",
+    "Event",
+    "EventLog",
     "FlightRecorder",
     "Gauge",
     "Handoff",
@@ -113,20 +122,16 @@ __all__ = [
     "OpContext",
     "PipelineTrace",
     "ProvenanceJournal",
-    "ProvenanceRecord",
     "RuleTotals",
     "SessionTotals",
-    "SlowOp",
-    "SpanRecord",
     "TelemetryExporter",
     "TraceContext",
+    "View",
     "bucket_bounds",
     "collect_sample",
     "percentile",
     "quantile_from_buckets",
     "summarize",
-    "get_metrics",
-    "get_trace",
     "FIG3_COMMAND_RECEIVED",
     "FIG3_CLASSIFIED_ECA",
     "FIG3_PASSED_THROUGH",
@@ -146,17 +151,3 @@ __all__ = [
     "SPAN_RULE_CONDITION",
     "SPAN_RULE_ACTION",
 ]
-
-#: Process-wide defaults (created eagerly: cheap, and import-order safe).
-_default_metrics = MetricsRegistry(enabled=False)
-_default_trace = PipelineTrace(enabled=False)
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _default_metrics
-
-
-def get_trace() -> PipelineTrace:
-    """The process-wide default :class:`PipelineTrace`."""
-    return _default_trace

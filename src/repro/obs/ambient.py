@@ -13,8 +13,9 @@ have closed or folded before the far side runs), :meth:`Ambient.adopt`
 on the far side works a ``with`` body on its behalf, and
 :meth:`Ambient.reset` drops what a finished task left behind.  The same
 pair crosses the pool queue, the DETACHED thread, the ``;tc=`` datagram
-trailer and the GED route.  A standalone trace, journal or accounting
-plane builds a private ``Ambient``; the agent makes its three share one.
+trailer and the GED route.  An event log and a standalone accounting
+plane each build a private ``Ambient``; the agent points its accounting
+plane at its event log's.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class _ThreadState:
     __slots__ = ("spans", "ctx", "parents", "frames")
 
     def __init__(self):
-        self.spans: list = []       # open SpanRecords, innermost last
+        self.spans: list = []       # open span events, innermost last
         self.ctx: TraceContext | None = None   # inherited trace context
         self.parents: list[int] = []           # provenance parent ids
         self.frames: list = []      # open accounting frames

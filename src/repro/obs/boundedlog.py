@@ -1,32 +1,37 @@
 """A bounded, sequence-stamped, thread-safe record log.
 
-The span trace, the provenance journal and the slow-op flight recorder
-each retain "the most recent N records, numbered in append order" and
-are all read the same ways — the newest few (``tail``), everything after
-a high-water mark (``since``, the flight recorder's slicing primitive),
-or a consistent copy (``snapshot``).  :class:`BoundedLog` is that one
-structure; the three planes subclass it and add what is theirs (the
-pinned per-trace store, the occurrence registry, the capture logic).
-When full, the oldest tenth is dropped (always at least one record, so
-small logs stay bounded), which amortises deleting from a list's head.
+"The most recent N records, numbered in append order", read the same
+few ways — the newest few (``tail``), everything after a high-water mark
+(``since``, the exporter's incremental primitive), or a consistent copy
+(``snapshot``).  :class:`BoundedLog` is that one structure; the agent's
+:class:`~repro.obs.events.EventLog` is its one subclass and adds what
+the record planes share (the per-trace pin index, the occurrence
+registry, node statistics).  When full, the oldest tenth is dropped
+(always at least one record, so small logs stay bounded), which
+amortises deleting from a list's head.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from bisect import bisect_right
+from operator import attrgetter
 
 __all__ = ["BoundedLog"]
 
+_SEQ = attrgetter("seq")
+
 
 class BoundedLog:
-    """Append-ordered records with ascending ``seq`` attributes.
+    """Append-ordered records with strictly ascending ``seq`` attributes.
 
-    A subclass draws a sequence number from :meth:`_next_seq`, builds
-    its record around it and, holding ``self._lock`` (the one lock that
-    also guards whatever else the subclass keeps), calls
-    :meth:`_append`.  Every reader copies under that lock, so no caller
-    ever iterates a list another thread is trimming.
+    A subclass builds its record and, holding ``self._lock`` (the one
+    lock that also guards whatever else the subclass keeps), calls
+    :meth:`_append`, which stamps the sequence number — so list order
+    *is* seq order and readers may binary-search.  Every reader copies
+    under that lock, so no caller ever iterates a list another thread is
+    trimming.
     """
 
     def __init__(self, capacity: int):
@@ -37,13 +42,12 @@ class BoundedLog:
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
 
-    def _next_seq(self) -> int:
-        return next(self._seq)
-
     def _append(self, record) -> None:
-        """Retain ``record``, trimming first when full (lock held)."""
+        """Stamp and retain ``record``, trimming first when full (lock
+        held)."""
         if len(self._records) >= self.capacity:
             del self._records[: max(1, self.capacity // 10)]
+        record.seq = next(self._seq)
         self._records.append(record)
 
     def __len__(self) -> int:
@@ -70,18 +74,13 @@ class BoundedLog:
 
     def since(self, seq: int, limit: int | None = None) -> list:
         """Retained records with sequence numbers above ``seq``, oldest
-        first (at most ``limit``).  Scans backwards from the tail, so
-        the cost is proportional to the slice, not the log."""
+        first; a ``limit`` keeps the *oldest* ``limit`` of them (the
+        start of whatever began at the mark, not its tail)."""
         with self._lock:
-            out: list = []
-            for record in reversed(self._records):
-                if record.seq <= seq:
-                    break
-                out.append(record)
-                if limit is not None and len(out) >= limit:
-                    break
-        out.reverse()
-        return out
+            first = bisect_right(self._records, seq, key=_SEQ)
+            if limit is None:
+                return self._records[first:]
+            return self._records[first:first + limit]
 
     def clear(self) -> None:
         """Drop every retained record (sequence numbers keep counting)."""

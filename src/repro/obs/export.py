@@ -1,11 +1,11 @@
-"""Unified telemetry export: metrics + spans + provenance as JSONL.
+"""Unified telemetry export: metrics + the event stream as JSONL.
 
 The admin plane (`show agent stats/trace/events`) answers questions from
 a live terminal; this module serves the other consumer — offline
-analysis.  A :class:`TelemetryExporter` snapshots the three in-memory
-telemetry surfaces (``MetricsRegistry``, ``PipelineTrace``,
-``ProvenanceJournal``) into one append-only JSONL file that rotates by
-size, so a long benchmark or soak run leaves behind a bounded,
+analysis.  A :class:`TelemetryExporter` snapshots the in-memory
+telemetry surfaces (``MetricsRegistry``, the agent's ``EventLog``,
+``OpAccounting``) into one append-only JSONL file that rotates by size,
+so a long benchmark or soak run leaves behind a bounded,
 machine-readable artifact (CI uploads it as ``BENCH_telemetry.jsonl``).
 
 Line schema — every line is one JSON object with a ``type`` field:
@@ -14,22 +14,24 @@ Line schema — every line is one JSON object with a ``type`` field:
   :meth:`TelemetryExporter.export_snapshot` call, written first.
 - ``{"type": "metric", "name", "kind", "labels", "value"}`` — one per
   metric child; histogram values are summary dicts.
-- ``{"type": "span", "seq", "step", "detail", "start", "duration",
-  "depth", "parent", "trace_id"}`` — one per trace record.
-- ``{"type": "provenance", "seq", "kind", "name", "context", "detail",
-  "parents", "at", "duration", "trace_id"}`` — one per journal record.
+- one line per :class:`~repro.obs.events.Event`, in sequence order, its
+  ``type`` derived from the event's kind by :func:`event_payload`:
+  ``{"type": "span", "seq", "step", "detail", "start", "duration",
+  "depth", "parent", "trace_id"}``, ``{"type": "provenance", "seq",
+  "kind", "name", "context", "detail", "parents", "at", "duration",
+  "trace_id"}`` or ``{"type": "slow_op", "seq", "at", "kind",
+  "statement", "session_id", "user", "duration_ms", "threshold_ms",
+  "trace_id", "plan", "counters", "spans", "provenance"}``.
 - ``{"type": "node_stat", "name", "context", "fires", "consumed",
   "latency": {...summary...}}`` — one per (event node, context).
-- ``{"type": "slow_op", ...}`` — one per flight-recorder capture (the
-  full :meth:`~repro.obs.flightrec.SlowOp.as_dict` payload).
 - ``{"type": "op_totals", "scope": "session"|"rule", "key", ...}`` —
   one per tracked session / rule in the accounting plane.
 
-Spans, provenance and slow ops export *incrementally*: each snapshot
-only writes records newer than the previous snapshot's high-water mark,
-spans and provenance optionally thinned by deterministic stride sampling
-(``sample=0.1`` keeps every 10th record by sequence number —
-reproducible, no RNG).
+Events export *incrementally*: each snapshot only writes events newer
+than the previous snapshot's high-water mark, spans and provenance
+optionally thinned by deterministic stride sampling (``sample=0.1``
+keeps every 10th event by sequence number — reproducible, no RNG; slow
+ops are never thinned).
 """
 
 from __future__ import annotations
@@ -39,7 +41,53 @@ import os
 import threading
 import time
 
-__all__ = ["TelemetryExporter"]
+from .events import HOPS, SLOW, SPANS, Event, plane_of
+
+__all__ = ["TelemetryExporter", "event_payload"]
+
+
+def _captured(event: Event) -> dict:
+    """One of a slow op's own events, as nested in its line."""
+    if plane_of(event.kind) == SPANS:
+        duration = event.duration
+        return {
+            "seq": event.seq, "step": event.kind, "detail": event.detail,
+            "depth": event.depth, "parent": event.parent,
+            "trace_id": event.trace_id,
+            "duration_ms": (None if duration is None
+                            else round(duration * 1e3, 4)),
+        }
+    return {
+        "seq": event.seq, "kind": event.kind, "name": event.name,
+        "context": event.context, "detail": event.detail,
+        "parents": list(event.parents),
+    }
+
+
+def event_payload(event: Event) -> dict:
+    """The one ``Event`` → JSONL object function; the line's ``type`` is
+    decided by the event's kind."""
+    plane = plane_of(event.kind)
+    if plane == SPANS:
+        return {
+            "type": "span", "seq": event.seq, "step": event.kind,
+            "detail": event.detail, "start": event.start,
+            "duration": event.duration, "depth": event.depth,
+            "parent": event.parent, "trace_id": event.trace_id,
+        }
+    if plane == HOPS:
+        return {
+            "type": "provenance", "seq": event.seq, "kind": event.kind,
+            "name": event.name, "context": event.context,
+            "detail": event.detail, "parents": list(event.parents),
+            "at": event.start, "duration": event.duration,
+            "trace_id": event.trace_id,
+        }
+    payload = dict(event.attrs, type="slow_op", seq=event.seq,
+                   kind=event.name, trace_id=event.trace_id)
+    for key in ("spans", "provenance"):
+        payload[key] = [_captured(own) for own in payload[key]]
+    return payload
 
 
 def _stride(sample: float) -> int:
@@ -59,79 +107,57 @@ class TelemetryExporter:
         max_bytes: rotate before a snapshot would push the file past
             this size (0 disables rotation).
         max_files: rotated generations kept besides the live file.
-        span_sample: fraction of trace spans to export (deterministic
-            stride by span seq; 1.0 exports everything).
-        provenance_sample: same for provenance records.
+        sample: fraction of span and provenance events to export
+            (deterministic stride by seq; 1.0 exports everything).
         clock: wall-clock source for snapshot timestamps.
     """
 
     def __init__(self, path: str, max_bytes: int = 5_000_000,
-                 max_files: int = 3, span_sample: float = 1.0,
-                 provenance_sample: float = 1.0, clock=time.time):
+                 max_files: int = 3, sample: float = 1.0,
+                 clock=time.time):
         self.path = path
         self.max_bytes = max_bytes
         self.max_files = max_files
-        self._span_stride = _stride(span_sample)
-        self._prov_stride = _stride(provenance_sample)
+        self._stride = _stride(sample)
         self._clock = clock
         self._lock = threading.Lock()
-        # Incremental high-water marks: only records with seq strictly
-        # above these are written by the next snapshot.
-        self._last_span_seq = 0
-        self._last_prov_seq = 0
-        self._last_slow_seq = 0
+        # Incremental high-water mark: only events with seq strictly
+        # above it are written by the next snapshot.
+        self._mark = 0
         self.snapshots_written = 0
 
     # ------------------------------------------------------------------
 
-    def export_snapshot(self, metrics=None, trace=None, journal=None,
-                        flightrec=None, accounting=None,
+    def export_snapshot(self, metrics=None, events=None, accounting=None,
                         label: str = "") -> int:
         """Write one snapshot of the given surfaces; returns lines written.
 
-        Any subset of ``metrics`` / ``trace`` / ``journal`` /
-        ``flightrec`` / ``accounting`` may be None.  Thread-safe;
-        concurrent snapshots serialize on the exporter lock.
+        Any subset of ``metrics`` (a registry) / ``events`` (an
+        :class:`~repro.obs.events.EventLog`) / ``accounting`` may be
+        None.  Thread-safe; concurrent snapshots serialize on the
+        exporter lock.
         """
-        lines: list[str] = []
-        metric_lines = self._metric_lines(metrics) if metrics is not None else []
-        span_lines, span_mark = (
-            self._span_lines(trace) if trace is not None else ([], None))
-        prov_lines, node_lines, prov_mark = (
-            self._provenance_lines(journal) if journal is not None
-            else ([], [], None))
-        slow_lines, slow_mark = (
-            self._slow_op_lines(flightrec) if flightrec is not None
-            else ([], None))
-        totals_lines = (
-            self._op_totals_lines(accounting) if accounting is not None
-            else [])
+        body = self._metric_lines(metrics) if metrics is not None else []
+        mark = None
+        if events is not None:
+            event_lines, mark = self._event_lines(events)
+            body += event_lines
+        if accounting is not None:
+            body += self._op_totals_lines(accounting)
         header = {
             "type": "snapshot",
             "label": label,
             "at": self._clock(),
-            "lines": (len(metric_lines) + len(span_lines)
-                      + len(prov_lines) + len(node_lines)
-                      + len(slow_lines) + len(totals_lines)),
+            "lines": len(body),
         }
-        lines.append(json.dumps(header, sort_keys=True))
-        lines.extend(metric_lines)
-        lines.extend(span_lines)
-        lines.extend(prov_lines)
-        lines.extend(node_lines)
-        lines.extend(slow_lines)
-        lines.extend(totals_lines)
+        lines = [json.dumps(header, sort_keys=True)] + body
         payload = "\n".join(lines) + "\n"
         with self._lock:
             self._rotate_if_needed(len(payload.encode("utf-8")))
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(payload)
-            if span_mark is not None:
-                self._last_span_seq = max(self._last_span_seq, span_mark)
-            if prov_mark is not None:
-                self._last_prov_seq = max(self._last_prov_seq, prov_mark)
-            if slow_mark is not None:
-                self._last_slow_seq = max(self._last_slow_seq, slow_mark)
+            if mark is not None:
+                self._mark = max(self._mark, mark)
             self.snapshots_written += 1
         return len(lines)
 
@@ -151,48 +177,19 @@ class TelemetryExporter:
                 }, sort_keys=True))
         return out
 
-    def _span_lines(self, trace) -> tuple[list[str], int]:
+    def _event_lines(self, events) -> tuple[list[str], int]:
+        """Lines for the events past the mark, then one ``node_stat``
+        line per (event node, context); returns them with the new mark."""
         out: list[str] = []
-        mark = self._last_span_seq
-        for record in trace.since(mark):
-            mark = record.seq
-            if record.seq % self._span_stride:
+        mark = self._mark
+        for event in events.since(mark):
+            mark = event.seq
+            if event.seq % self._stride and plane_of(event.kind) != SLOW:
                 continue
+            out.append(json.dumps(event_payload(event), sort_keys=True,
+                                  default=str))
+        for name, context, stat in events.node_stats():
             out.append(json.dumps({
-                "type": "span",
-                "seq": record.seq,
-                "step": record.step,
-                "detail": record.detail,
-                "start": record.start,
-                "duration": record.duration,
-                "depth": record.depth,
-                "parent": record.parent,
-                "trace_id": record.trace_id,
-            }, sort_keys=True))
-        return out, mark
-
-    def _provenance_lines(self, journal) -> tuple[list[str], list[str], int]:
-        records: list[str] = []
-        mark = self._last_prov_seq
-        for record in journal.since(mark):
-            mark = record.seq
-            if record.seq % self._prov_stride:
-                continue
-            records.append(json.dumps({
-                "type": "provenance",
-                "seq": record.seq,
-                "kind": record.kind,
-                "name": record.name,
-                "context": record.context,
-                "detail": record.detail,
-                "parents": list(record.parents),
-                "at": record.at,
-                "duration": record.duration,
-                "trace_id": record.trace_id,
-            }, sort_keys=True))
-        nodes: list[str] = []
-        for name, context, stat in journal.node_stats():
-            nodes.append(json.dumps({
                 "type": "node_stat",
                 "name": name,
                 "context": context,
@@ -200,16 +197,6 @@ class TelemetryExporter:
                 "consumed": stat.consumed,
                 "latency": stat.summary().as_dict(),
             }, sort_keys=True))
-        return records, nodes, mark
-
-    def _slow_op_lines(self, flightrec) -> tuple[list[str], int]:
-        out: list[str] = []
-        mark = self._last_slow_seq
-        for record in flightrec.since(mark):
-            mark = record.seq
-            payload = record.as_dict()
-            payload["type"] = "slow_op"
-            out.append(json.dumps(payload, sort_keys=True, default=str))
         return out, mark
 
     def _op_totals_lines(self, accounting) -> list[str]:

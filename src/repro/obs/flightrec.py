@@ -1,156 +1,110 @@
-"""The slow-op flight recorder: bounded post-hoc capture of slow commands.
+"""The slow-op view of the event stream: post-hoc capture of slow commands.
 
 Tracing answers "what does a command do"; the flight recorder answers
-"what did *that one slow command last Tuesday* do".  The gateway notes
-the trace/journal high-water marks before routing each command and, when
-the command's wall time exceeds the armed threshold (``set agent slowlog
-<ms>``), captures everything recorded since — the command's own
-:class:`~repro.obs.tracing.PipelineTrace` span tree and its
-:class:`~repro.obs.provenance.ProvenanceJournal` slice — together with
-the operation's :class:`~repro.obs.opcontext.OpContext` counters, into a
-:class:`~repro.obs.boundedlog.BoundedLog` of :class:`SlowOp` records.
+"what did *that one slow command last Tuesday* do".  While armed (``set
+agent slowlog <ms>``) every client command carries a command id, and
+when a command's wall time exceeds the threshold the gateway records one
+``slow_op`` :class:`~repro.obs.events.Event` into the agent's
+:class:`~repro.obs.events.EventLog`: the operation's
+:class:`~repro.obs.opcontext.OpContext` counters, its plan, and
+references to the command's *own* spans and hops — the events pinned
+under its command id, so another session's concurrent work is never
+captured, and the references keep them readable after the log evicts
+them.
 
 Disarmed (the default) the recorder costs one attribute read per
-command.  Armed, the marginal cost is two ``last_seq`` reads per command
-plus the capture itself, which only slow commands pay.  ``show agent
-slow [N]`` dumps the ring; the telemetry exporter writes each record
-once as a ``{"type": "slow_op"}`` JSONL line.
+command.  ``show agent slow [N]`` lists the slow ops; the telemetry
+exporter writes each once as a ``{"type": "slow_op"}`` JSONL line.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-from .boundedlog import BoundedLog
+from .events import (
+    HOPS,
+    KIND_SLOW_OP,
+    SLOW,
+    SPANS,
+    Event,
+    EventLog,
+    View,
+    plane_of,
+)
 
-__all__ = ["FlightRecorder", "SlowOp"]
+__all__ = ["FlightRecorder"]
 
-#: Default capacity (slow ops retained; the oldest tenth goes when full).
+#: Default capacity of the private log a standalone recorder builds.
 DEFAULT_CAPACITY = 64
-#: Caps on the captured per-op slices, so one pathological command
-#: cannot make the ring itself expensive to hold or export.
+#: Caps on the captured per-op slices (oldest kept, so the root span
+#: survives), so one pathological command cannot make a slow op
+#: expensive to hold or export.
 MAX_SPANS = 200
 MAX_PROVENANCE = 100
 #: Statement text is truncated to this many characters in the record.
 MAX_STATEMENT = 200
 
 
-@dataclass
-class SlowOp:
-    """One captured slow operation."""
+class FlightRecorder(View):
+    """The slow-op plane of an event log (thread-safe).
 
-    seq: int
-    at: float
-    kind: str
-    statement: str
-    session_id: object
-    user: str
-    duration_ms: float
-    threshold_ms: float
-    counters: dict = field(default_factory=dict)
-    spans: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
-    #: trace id of the captured command (None with tracing off)
-    trace_id: str | None = None
-    #: EXPLAIN rendering of the statement's optimized plan (None when
-    #: the statement has no plannable SQL — admin commands, DDL, ...)
-    plan: str | None = None
+    A slow op is an event of kind ``slow_op`` whose ``name`` is the
+    command's classification and whose ``attrs`` hold ``statement``,
+    ``session_id``, ``user``, ``duration_ms``, ``threshold_ms``,
+    ``counters``, ``plan``, the wall-clock ``at`` and the captured
+    ``spans`` / ``provenance`` event lists.
+    """
 
-    def as_dict(self) -> dict:
-        """JSONL payload for the telemetry exporter."""
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "kind": self.kind,
-            "statement": self.statement,
-            "session_id": self.session_id,
-            "user": self.user,
-            "duration_ms": self.duration_ms,
-            "threshold_ms": self.threshold_ms,
-            "trace_id": self.trace_id,
-            "plan": self.plan,
-            "counters": dict(self.counters),
-            "spans": list(self.spans),
-            "provenance": list(self.provenance),
-        }
-
-
-class FlightRecorder(BoundedLog):
-    """Bounded log of :class:`SlowOp` records (thread-safe)."""
+    PLANE = SLOW
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 threshold_ms: float | None = None, clock=time.time):
-        super().__init__(capacity)
-        #: slow-op threshold in milliseconds; ``None`` disarms capture
+                 threshold_ms: float | None = None,
+                 log: EventLog | None = None):
+        self.log = log if log is not None else EventLog(capacity)
         self.threshold_ms = threshold_ms
-        self._clock = clock
-        self.captured_total = 0
 
     @property
-    def armed(self) -> bool:
-        return self.threshold_ms is not None
+    def threshold_ms(self) -> float | None:
+        """Slow-op threshold in milliseconds; ``None`` disarms capture."""
+        return self.log.slow_ms
 
-    # ------------------------------------------------------------------
-    # gateway surface
+    @threshold_ms.setter
+    def threshold_ms(self, value: float | None) -> None:
+        self.log.slow_ms = value
+        self.log.set_plane(SLOW, value is not None)
 
-    def marks(self, trace, journal) -> tuple[int, int]:
-        """The (span seq, provenance seq) high-water marks right now —
-        taken before routing, so a later capture slices only what the
-        command itself recorded."""
-        return trace.last_seq(), journal.last_seq()
+    @property
+    def enabled(self) -> bool:
+        """Whether capture is armed (set through ``threshold_ms``)."""
+        return self.log.slow_ms is not None
+
+    armed = enabled
 
     def capture(self, *, kind: str, statement: str, session,
-                duration: float, frame, trace, journal,
-                marks: tuple[int, int], threshold_ms: float,
+                duration: float, frame, threshold_ms: float,
                 trace_id: str | None = None,
-                plan: str | None = None) -> SlowOp:
+                plan: str | None = None) -> Event:
         """Record one over-threshold operation.  ``threshold_ms`` is the
-        threshold the caller judged ``duration`` against — snapshotted
-        with ``marks``, because the command being captured may itself
-        have re-armed or disarmed the recorder since."""
-        span_mark, prov_mark = marks
-        spans = [
-            {
-                "seq": record.seq,
-                "step": record.step,
-                "detail": record.detail,
-                "depth": record.depth,
-                "parent": record.parent,
-                "trace_id": record.trace_id,
-                "duration_ms": (
-                    None if record.duration is None
-                    else round(record.duration * 1e3, 4)),
-            }
-            for record in trace.since(span_mark, limit=MAX_SPANS)
-        ]
-        provenance = [
-            {
-                "seq": record.seq,
-                "kind": record.kind,
-                "name": record.name,
-                "context": record.context,
-                "detail": record.detail,
-                "parents": list(record.parents),
-            }
-            for record in journal.since(prov_mark, limit=MAX_PROVENANCE)
-        ]
-        record = SlowOp(
-            seq=self._next_seq(),
-            at=self._clock(),
-            kind=kind,
-            statement=statement[:MAX_STATEMENT],
-            session_id=session.session_id,
-            user=session.user,
-            duration_ms=round(duration * 1e3, 4),
-            threshold_ms=threshold_ms,
-            counters=frame.as_dict() if frame is not None else {},
-            spans=spans,
-            provenance=provenance,
+        threshold the caller judged ``duration`` against — read before
+        routing, because the command being captured may itself have
+        re-armed or disarmed the recorder since."""
+        log = self.log
+        mine = log.events_for(trace_id) if trace_id is not None else []
+        end = log.clock()
+        return log.record(Event(
+            KIND_SLOW_OP, kind, start=end - duration, end=end,
             trace_id=trace_id,
-            plan=plan,
-        )
-        with self._lock:
-            self._append(record)
-            self.captured_total += 1
-        return record
+            attrs={
+                "at": time.time(),
+                "statement": statement[:MAX_STATEMENT],
+                "session_id": session.session_id,
+                "user": session.user,
+                "duration_ms": round(duration * 1e3, 4),
+                "threshold_ms": threshold_ms,
+                "counters": frame.as_dict() if frame is not None else {},
+                "plan": plan,
+                "spans": [e for e in mine
+                          if plane_of(e.kind) == SPANS][:MAX_SPANS],
+                "provenance": [e for e in mine
+                               if plane_of(e.kind) == HOPS][:MAX_PROVENANCE],
+            }))

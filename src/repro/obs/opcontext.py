@@ -225,8 +225,8 @@ class OpAccounting:
         self.enabled = enabled
         self.max_sessions = max_sessions
         self.max_rules = max_rules
-        #: per-thread frame stack (private here; the agent points its
-        #: three planes at one shared ambient).  Frames opened by a
+        #: per-thread frame stack (private here; the agent points this
+        #: at its event log's ambient).  Frames opened by a
         #: hand-off's adoption fold into this plane.
         self.ambient = Ambient()
         self.ambient.accounting = self

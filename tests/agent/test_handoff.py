@@ -10,7 +10,8 @@ crossing, with tracing on *and* off, the far side must
 (a) record spans under the originating command's trace id, forming one
     connected tree (tracing on; with it off there are simply no spans),
 (b) link its provenance records, parent by parent, back to the
-    notification that started it all,
+    notification that started it all, every one of them carrying the
+    originating command's id,
 (c) charge its work to the originating session when the hand-off
     carries that session's identity — and to *no other* session ever,
 (d) leave the executing thread's ambient state empty afterwards.
@@ -18,13 +19,14 @@ crossing, with tracing on *and* off, the far side must
 On (c): the pool worker opens the command's own frame and a DETACHED
 thread adopts the dispatcher's session identity, so both charge the
 session with the event *and* the action.  The wire form carries the
-trace context only — and nothing at all with tracing off — so what a
+command's context only — never a session identity — so what a
 channel listener does (raise + action) or another site's shard does
 (the global rule) is charged to its rule, never to a session; on the GED
 route the home site's raise still happens inside the command.
 """
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -114,14 +116,17 @@ def cross_detached(tracing, closers):
     conn = start(agent, tracing, STOCK_DDL, E_ADD,
                  "create trigger t_far event e_add DETACHED as print 'far'")
     states = []
-    record_firing = agent.led.record_external_firing
+    adopt = agent.ambient.adopt
 
-    def after_the_action(firing):
-        # runs on the action thread right after its adopt() exited
-        states.append(ambient_of(agent))
-        record_firing(firing)
+    @contextmanager
+    def probed_adopt(handoff):
+        with adopt(handoff):
+            yield handoff
+        if threading.current_thread().name.startswith("eca-action-"):
+            # on the action thread, right after its adopt() exited
+            states.append(ambient_of(agent))
 
-    agent.led.record_external_firing = after_the_action
+    agent.ambient.adopt = probed_adopt
     conn.execute(INSERT)
     agent.action_handler.join_detached()
     return Crossed(agent, conn, INSERT, KIND_ACTION,
@@ -241,7 +246,13 @@ def test_far_side_works_on_behalf_of_the_origin(crossing, tracing, closers):
            == (crossed.far_kind, crossed.far_name)][-1]
     lineage = journal.lineage(far.seq)
     assert lineage[-1].kind == KIND_NOTIFICATION, lineage
-    assert far.trace_id == (spans[0].trace_id if tracing else None)
+    # ... and carries the originating command's id (minted whenever any
+    # record plane is on — here provenance — not only under tracing)
+    origin_id = [record for record in journal.snapshot()
+                 if record.kind == KIND_NOTIFICATION][-1].trace_id
+    assert origin_id is not None and far.trace_id == origin_id
+    if tracing:
+        assert origin_id == spans[0].trace_id
 
     # (c) charged to the originating session, never to another one
     [sessions] = crossed.conn.execute(

@@ -258,3 +258,62 @@ def test_stats_top_truncates_to_n(active):
         assert counters.rows[0][2] >= counters.rows[1][2]
     message = _error_of(active.execute("show agent stats top zero"))
     assert "row count" in message
+
+
+def test_slow_op_captures_only_its_own_commands_records():
+    """Regression: the capture used to slice two shared logs by position
+    (everything recorded since the command's marks), so under a worker
+    pool a slow command stored whatever *other sessions* recorded while
+    it ran — and, past the 200-span cap, none of its own.  Records are
+    now found by the command's id."""
+    import threading
+
+    from repro.agent import EcaAgent
+    from repro.obs.tracing import FIG3_COMMAND_RECEIVED
+    from repro.sqlengine import SqlServer
+
+    agent = EcaAgent(SqlServer(default_database="sentineldb"), workers=2)
+    try:
+        quiet = agent.connect(user="sharma", database="sentineldb")
+        noisy = agent.connect(user="sharma", database="sentineldb")
+        for sql in ("create table stock (symbol varchar(10), qty int)",
+                    EX_ADD, EX_DEL,
+                    "create trigger t_and event addDel = delStk ^ addStk "
+                    "RECENT\nas waitfor delay '00:00:00.3'",
+                    "insert stock values ('IBM', 1)",
+                    "set agent trace on", "set agent provenance on",
+                    "set agent slowlog 100"):
+            quiet.execute(sql)
+        done = threading.Event()
+        chatter = []
+
+        def chat():
+            # admin commands never touch the engine, so they run (and
+            # record spans) while the slow command holds its locks
+            while not done.is_set():
+                noisy.execute("show agent workers")
+                chatter.append(1)
+
+        thread = threading.Thread(target=chat)
+        thread.start()
+        try:
+            # completes the composite, whose action takes 300 ms
+            slow = "delete stock where symbol = 'IBM'"
+            quiet.execute(slow)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and len(chatter) > 50
+        [op] = [op for op in agent.flightrec.tail(50)
+                if op.attrs["statement"] == slow]
+        spans, hops = op.attrs["spans"], op.attrs["provenance"]
+        assert op.trace_id is not None
+        assert spans and {span.trace_id for span in spans} == {op.trace_id}
+        assert hops and {hop.trace_id for hop in hops} == {op.trace_id}
+        assert (spans[0].step, spans[0].detail) == (
+            FIG3_COMMAND_RECEIVED, slow)
+        assert "action" in {hop.kind for hop in hops}
+        # ... and nothing of the noisy session rode along
+        assert not any("show agent" in span.detail for span in spans)
+    finally:
+        agent.close()

@@ -76,7 +76,7 @@ class TestTraceMachinery:
         assert agent.trace.records == []
 
     def test_bounded_buffer(self):
-        buffer = trace_mod.PipelineTrace(enabled=True, max_records=100)
+        buffer = trace_mod.PipelineTrace(enabled=True, capacity=100)
         for index in range(250):
             buffer.emit("step", str(index))
         assert len(buffer.records) <= 100

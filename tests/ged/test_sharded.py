@@ -292,13 +292,15 @@ class TestObservability:
                 "create trigger t_audit on audit_log for insert "
                 "event auditRow as print 'row'")
             agents[site], conns[site] = agent, conn
-        trace = agents["nyc"].trace
+        nyc, tokyo = agents["nyc"], agents["tokyo"]
+        trace = nyc.trace
         trace.enabled = True
-        tokyo = agents["tokyo"]
-        tokyo.trace = trace
-        # a trace's nesting state lives in its ambient: share that too
-        tokyo.ambient = trace.ambient
-        tokyo.led.attach_observability(tokyo.metrics, trace, tokyo.journal)
+        # tokyo records into nyc's event log: the log, its views and the
+        # ambient nesting state it owns are borrowed together
+        tokyo.events = tokyo.notifier.events = nyc.events
+        tokyo.trace, tokyo.journal = trace, nyc.journal
+        tokyo.ambient = nyc.ambient
+        tokyo.led.attach_observability(tokyo.metrics, trace, nyc.journal)
         ged = ShardedGed(trace=trace)
         for site, agent in agents.items():
             ged.add_site(site, agent)

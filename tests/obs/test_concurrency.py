@@ -98,7 +98,7 @@ class TestMetricsConcurrency:
 
 class TestTraceConcurrency:
     def test_no_lost_records_and_unique_monotone_seqs(self):
-        trace = PipelineTrace(enabled=True, max_records=1_000_000)
+        trace = PipelineTrace(enabled=True, capacity=1_000_000)
 
         def worker(index):
             for step in range(ITERATIONS):
@@ -111,7 +111,7 @@ class TestTraceConcurrency:
         assert len(set(seqs)) == len(seqs)
 
     def test_nesting_stays_per_thread(self):
-        trace = PipelineTrace(enabled=True, max_records=1_000_000)
+        trace = PipelineTrace(enabled=True, capacity=1_000_000)
 
         def worker(index):
             for _ in range(200):
@@ -130,7 +130,7 @@ class TestTraceConcurrency:
                 assert parent.step == "outer-" + record.step.split("-")[1]
 
     def test_trimming_under_contention_stays_bounded(self):
-        trace = PipelineTrace(enabled=True, max_records=50)
+        trace = PipelineTrace(enabled=True, capacity=50)
 
         def worker(index):
             for step in range(ITERATIONS):

@@ -6,6 +6,7 @@ import os
 from repro.led import LocalEventDetector
 from repro.led.rules import Context
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
     PipelineTrace,
     ProvenanceJournal,
@@ -22,10 +23,11 @@ def _populated_surfaces():
     metrics = MetricsRegistry()
     metrics.counter("hits", "hits", ("kind",)).labels("a").inc(3)
     metrics.histogram("latency").observe(0.25)
-    trace = PipelineTrace(enabled=True)
+    events = EventLog()
+    trace = PipelineTrace(enabled=True, log=events)
     with trace.span("outer", "detail"):
         trace.emit("inner", "point")
-    journal = ProvenanceJournal(enabled=True)
+    journal = ProvenanceJournal(enabled=True, log=events)
     led = LocalEventDetector()
     led.attach_observability(journal=journal)
     led.define_primitive("a")
@@ -35,16 +37,16 @@ def _populated_surfaces():
                  context=Context.CHRONICLE)
     led.raise_event("a")
     led.raise_event("b")
-    return metrics, trace, journal
+    return metrics, trace, events
 
 
 class TestSnapshotSchema:
     def test_snapshot_writes_all_line_types(self, tmp_path):
-        metrics, trace, journal = _populated_surfaces()
+        metrics, _trace, events = _populated_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path)
         lines_written = exporter.export_snapshot(
-            metrics=metrics, trace=trace, journal=journal, label="test")
+            metrics=metrics, events=events, label="test")
         lines = _read_lines(path)
         assert len(lines) == lines_written
         by_type = {}
@@ -55,7 +57,7 @@ class TestSnapshotSchema:
         metric_names = {line["name"] for line in by_type["metric"]}
         assert {"hits", "latency"} <= metric_names
         steps = {line["step"] for line in by_type["span"]}
-        assert steps == {"outer", "inner"}
+        assert {"outer", "inner"} <= steps
         kinds = {line["kind"] for line in by_type["provenance"]}
         assert {"raise", "detection", "firing"} <= kinds
         node_names = {line["name"] for line in by_type["node_stat"]}
@@ -64,7 +66,7 @@ class TestSnapshotSchema:
             assert isinstance(line["parents"], list)
 
     def test_partial_surfaces_allowed(self, tmp_path):
-        metrics, _trace, _journal = _populated_surfaces()
+        metrics, _trace, _events = _populated_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         TelemetryExporter(path).export_snapshot(metrics=metrics)
         types = {line["type"] for line in _read_lines(path)}
@@ -73,23 +75,24 @@ class TestSnapshotSchema:
 
 class TestIncremental:
     def test_second_snapshot_exports_only_new_records(self, tmp_path):
-        metrics, trace, journal = _populated_surfaces()
+        metrics, trace, events = _populated_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path)
-        exporter.export_snapshot(trace=trace, journal=journal)
+        exporter.export_snapshot(events=events)
         first = [line for line in _read_lines(path)
                  if line["type"] in ("span", "provenance")]
-        exporter.export_snapshot(trace=trace, journal=journal)
+        exporter.export_snapshot(events=events)
         second = [line for line in _read_lines(path)
                   if line["type"] in ("span", "provenance")]
         # Nothing new happened: the second snapshot adds no span or
         # provenance lines.
         assert len(second) == len(first)
         trace.emit("later", "x")
-        exporter.export_snapshot(trace=trace, journal=journal)
+        exporter.export_snapshot(events=events)
         third = [line for line in _read_lines(path) if line["type"] == "span"]
         assert [line["step"] for line in third][-1] == "later"
-        assert len(third) == 3
+        assert len(third) == len(
+            [line for line in first if line["type"] == "span"]) + 1
 
 
 class TestSampling:
@@ -98,8 +101,8 @@ class TestSampling:
         for index in range(20):
             trace.emit(f"step{index}")
         path = str(tmp_path / "telemetry.jsonl")
-        exporter = TelemetryExporter(path, span_sample=0.25)
-        exporter.export_snapshot(trace=trace)
+        exporter = TelemetryExporter(path, sample=0.25)
+        exporter.export_snapshot(events=trace.log)
         spans = [line for line in _read_lines(path) if line["type"] == "span"]
         assert len(spans) == 5
         assert all(line["seq"] % 4 == 0 for line in spans)
@@ -108,15 +111,14 @@ class TestSampling:
         import pytest
 
         with pytest.raises(ValueError):
-            TelemetryExporter(str(tmp_path / "t.jsonl"), span_sample=0.0)
+            TelemetryExporter(str(tmp_path / "t.jsonl"), sample=0.0)
         with pytest.raises(ValueError):
-            TelemetryExporter(str(tmp_path / "t.jsonl"),
-                              provenance_sample=1.5)
+            TelemetryExporter(str(tmp_path / "t.jsonl"), sample=1.5)
 
 
 class TestRotation:
     def test_rotates_by_size_and_caps_generations(self, tmp_path):
-        metrics, _trace, _journal = _populated_surfaces()
+        metrics, _trace, _events = _populated_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path, max_bytes=400, max_files=2)
         for _ in range(10):
@@ -131,7 +133,7 @@ class TestRotation:
                 assert _read_lines(candidate)
 
     def test_rotation_disabled_with_zero_max_bytes(self, tmp_path):
-        metrics, _trace, _journal = _populated_surfaces()
+        metrics, _trace, _events = _populated_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path, max_bytes=0)
         for _ in range(5):
@@ -153,13 +155,10 @@ class TestHealthPlaneLines:
         frame = accounting.begin(_Session())
         accounting.note_statement()
         recorder = FlightRecorder(threshold_ms=0.0)
-        trace = PipelineTrace()
-        journal = ProvenanceJournal()
-        marks = recorder.marks(trace, journal)
         recorder.capture(
             kind="passthrough", statement="select 1", session=_Session(),
-            duration=0.02, frame=frame, trace=trace, journal=journal,
-            marks=marks, threshold_ms=recorder.threshold_ms)
+            duration=0.02, frame=frame,
+            threshold_ms=recorder.threshold_ms)
         accounting.finish(frame, 0.02)
         with accounting.rule_scope("db.u.r"):
             pass
@@ -169,7 +168,7 @@ class TestHealthPlaneLines:
         recorder, accounting = self._slow_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path)
-        exporter.export_snapshot(flightrec=recorder, accounting=accounting)
+        exporter.export_snapshot(events=recorder.log, accounting=accounting)
         lines = _read_lines(path)
         by_type = {}
         for line in lines:
@@ -188,8 +187,8 @@ class TestHealthPlaneLines:
         recorder, accounting = self._slow_surfaces()
         path = str(tmp_path / "telemetry.jsonl")
         exporter = TelemetryExporter(path)
-        exporter.export_snapshot(flightrec=recorder, accounting=accounting)
-        exporter.export_snapshot(flightrec=recorder, accounting=accounting)
+        exporter.export_snapshot(events=recorder.log, accounting=accounting)
+        exporter.export_snapshot(events=recorder.log, accounting=accounting)
         lines = _read_lines(path)
         slow = [line for line in lines if line["type"] == "slow_op"]
         # The same slow op is never exported twice...

@@ -114,7 +114,7 @@ class TestBounds:
     def test_capacity_evicts_oldest_tenth(self):
         journal = ProvenanceJournal(enabled=True, capacity=50)
         for index in range(60):
-            journal.append(KIND_RAISE, f"e{index}")
+            journal.hop(KIND_RAISE, f"e{index}")
         assert len(journal) <= 50
         seqs = [record.seq for record in journal.snapshot()]
         assert seqs == sorted(seqs)

@@ -106,7 +106,7 @@ class TestSpans:
 
 class TestTrimPolicy:
     def test_large_buffer_drops_oldest_tenth(self):
-        trace = PipelineTrace(enabled=True, max_records=100,
+        trace = PipelineTrace(enabled=True, capacity=100,
                               clock=FakeClock())
         for index in range(101):
             trace.emit(str(index))
@@ -118,14 +118,14 @@ class TestTrimPolicy:
     def test_tiny_buffer_stays_bounded(self):
         """Regression: ``max_records // 10 == 0`` for buffers of fewer
         than ten records used to trim nothing, growing without bound."""
-        trace = PipelineTrace(enabled=True, max_records=5, clock=FakeClock())
+        trace = PipelineTrace(enabled=True, capacity=5, clock=FakeClock())
         for index in range(1000):
             trace.emit(str(index))
         assert len(trace.records) <= 5
         assert trace.records[-1].step == "999"
 
     def test_max_records_one(self):
-        trace = PipelineTrace(enabled=True, max_records=1, clock=FakeClock())
+        trace = PipelineTrace(enabled=True, capacity=1, clock=FakeClock())
         for index in range(50):
             trace.emit(str(index))
         assert len(trace.records) == 1

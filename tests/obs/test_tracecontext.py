@@ -198,7 +198,7 @@ class TestTraceStore:
         assert trace.spans_for("t999999") == []
 
     def test_store_survives_ring_buffer_eviction(self):
-        trace = fresh_trace(max_records=10)
+        trace = fresh_trace(capacity=10)
         ctx = trace.command_context(None)
         with trace.activate(ctx):
             trace.emit("pinned")
@@ -222,9 +222,9 @@ class TestTraceStore:
         trace = fresh_trace()
         ctx = trace.command_context(None)
         with trace.activate(ctx):
-            for index in range(trace.MAX_TRACE_SPANS + 50):
+            for index in range(trace.MAX_TRACE_EVENTS + 50):
                 trace.emit(str(index))
-        assert len(trace.spans_for(ctx.trace_id)) == trace.MAX_TRACE_SPANS
+        assert len(trace.spans_for(ctx.trace_id)) == trace.MAX_TRACE_EVENTS
 
     def test_clear_empties_store(self):
         trace = fresh_trace()

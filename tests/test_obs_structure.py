@@ -5,7 +5,9 @@ provenance parents, accounting frames), each with its own
 capture / inherit / ``reset_thread`` protocol, and a hand-off had to be
 taught to all three.  There is now one per-thread ambient context
 (:mod:`repro.obs.ambient`) with one ``capture()`` / ``adopt()`` /
-``reset()`` and one bounded record log (:mod:`repro.obs.boundedlog`).
+``reset()`` and one bounded record log (:mod:`repro.obs.boundedlog`)
+with one subclass holding one record type (:mod:`repro.obs.events`);
+the trace, the journal and the flight recorder are views of it.
 This test scans the source so a second copy cannot sneak back in.
 """
 
@@ -40,17 +42,30 @@ def test_one_bounded_log():
             "obs/boundedlog.py:"), hits
 
 
+def test_one_event_log_one_record_type():
+    subclasses = _hits(SRC, r"\(BoundedLog\)")
+    assert len(subclasses) == 1 and subclasses[0].startswith(
+        "obs/events.py:"), subclasses
+    assert _hits(SRC, r"class (SpanRecord|ProvenanceRecord|SlowOp)\b") == []
+    # one record-seq counter (plus the command-id counter)
+    counters = _hits(SRC / "obs", r"itertools\.count\(")
+    assert [hit.split(":")[0] for hit in counters] == [
+        "obs/boundedlog.py", "obs/events.py"], counters
+    # one export high-water mark, no positional slow-op slicing
+    assert _hits(SRC, r"_last_(span|prov|slow)_seq|def marks\b") == []
+
+
 def test_agent_trace_shim_is_gone():
     assert not (SRC / "agent" / "trace.py").exists()
 
 
 def test_one_path_per_agent_side_span_site():
-    """``PipelineTrace.span()`` is already a shared no-op when disabled,
-    so nothing outside the trace itself (and the admin plane's on/off
-    reporting) reads ``trace.enabled`` to pick between two copies of a
-    body — except the LED, whose trace may be ``None`` and whose splits
-    sit inside its lock."""
-    outside = [hit for hit in _hits(SRC, r"trace\.enabled")
+    """A hook site reads one flag — its event log's ``planes`` — and the
+    log decides what each plane keeps, so nothing outside ``obs`` (and
+    the admin plane's on/off commands and reporting) reads a view's
+    ``enabled`` to pick between two copies of a body.  (The parent had 5
+    ``trace.enabled`` and 8 ``journal.enabled`` reads under ``led/`` and
+    ``agent/``.)"""
+    outside = [hit for hit in _hits(SRC, r"(trace|journal)\.enabled")
                if not hit.startswith(("obs/", "agent/admin.py:"))]
-    assert len(outside) <= 5 and all(
-        hit.startswith("led/") for hit in outside), outside
+    assert outside == []

@@ -39,6 +39,7 @@ DEFAULT_SURFACE = [
     "src/repro/faults/retry.py",
     "src/repro/obs/ambient.py",
     "src/repro/obs/boundedlog.py",
+    "src/repro/obs/events.py",
     "src/repro/obs/provenance.py",
     "src/repro/obs/export.py",
     "src/repro/ged/__init__.py",

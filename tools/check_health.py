@@ -33,6 +33,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from _helpers import example_2_stack  # noqa: E402  (path bootstrap above)
+from repro.obs.export import event_payload  # noqa: E402
 
 ARTIFACT = REPO_ROOT / "BENCH_health.json"
 
@@ -68,7 +69,8 @@ def main() -> int:
             totals.as_dict() for totals in agent.accounting.top_sessions(5)],
         "top_rules": [
             totals.as_dict() for totals in agent.accounting.top_rules(5)],
-        "slow_ops": [record.as_dict() for record in agent.flightrec.tail(5)],
+        "slow_ops": [event_payload(record)
+                     for record in agent.flightrec.tail(5)],
     }
     ARTIFACT.write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",

@@ -2,17 +2,18 @@
 """CI gate: the observability plane must stay cheap.
 
 Reads the ``BENCH_overhead.json`` artifact produced by
-``benchmarks/bench_overhead.py`` and compares the fully-observed series
-(stats + trace + provenance journal on) against the same stack with the
-observability plane off.  The mean-latency ratio between the two must
-stay under a threshold (default 2.0x, overridable through the
-``OBS_OVERHEAD_RATIO`` environment variable) — catching any change that
-moves real work onto the instrumented hot path.
+``benchmarks/bench_overhead.py`` and compares each observed series
+against the same stack with the observability plane off (series 4).
+Each mean-latency ratio must stay under one threshold (default 1.5x,
+overridable through the ``OBS_OVERHEAD_RATIO`` environment variable) —
+catching any change that moves real work onto the instrumented hot path:
 
-The health-plane series (stats + accounting + slow-op capture armed,
-trace and provenance off) is gated against the same baseline under the
-same ceiling, so the always-on health surface can never quietly grow
-more expensive than the full debugging plane is allowed to be.
+- series 5, everything on (stats + trace + provenance);
+- series 6, the health plane (stats + accounting + slow-op capture
+  armed, trace and provenance off), so the always-on health surface can
+  never quietly grow more expensive than the full debugging plane;
+- series 7, tracing only — what a sampled command pays under ``trace
+  next`` (its connectivity half is ``tools/check_trace.py``).
 
 Usage::
 
@@ -32,11 +33,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Series labels written by benchmarks/bench_overhead.py.
 BASELINE_SERIES = "4 + composite detection (Example 2)"
-OBSERVED_SERIES = "5 + observability on (stats+trace+provenance)"
-HEALTH_SERIES = "6 + health plane (accounting+slowlog+stats)"
+#: (name printed, series label) of every gated series.
+GATED_SERIES = (
+    ("observability", "5 + observability on (stats+trace+provenance)"),
+    ("health plane", "6 + health plane (accounting+slowlog+stats)"),
+    ("tracing", "7 + trace context (sampled commands)"),
+)
 
 #: Default ceiling for observed/baseline mean latency.
-DEFAULT_RATIO = 2.0
+DEFAULT_RATIO = 1.5
 
 
 def check(path: Path, max_ratio: float) -> list[str]:
@@ -47,7 +52,7 @@ def check(path: Path, max_ratio: float) -> list[str]:
     payload = json.loads(path.read_text())
     series = payload.get("series", {})
     problems = []
-    for label in (BASELINE_SERIES, OBSERVED_SERIES, HEALTH_SERIES):
+    for label in (BASELINE_SERIES, *(label for _, label in GATED_SERIES)):
         if label not in series:
             problems.append(f"{path}: series {label!r} missing")
     if problems:
@@ -55,8 +60,7 @@ def check(path: Path, max_ratio: float) -> list[str]:
     baseline = series[BASELINE_SERIES]["mean"]
     if baseline <= 0:
         return [f"{path}: baseline mean is {baseline}; artifact corrupt"]
-    for name, label in (("observability", OBSERVED_SERIES),
-                        ("health plane", HEALTH_SERIES)):
+    for name, label in GATED_SERIES:
         observed = series[label]["mean"]
         ratio = observed / baseline
         print(f"{name} overhead: {observed:.4f}ms / {baseline:.4f}ms "

@@ -1,39 +1,28 @@
 #!/usr/bin/env python
-"""CI gate: trace-context propagation must stay connected and cheap.
+"""CI gate: trace-context propagation must stay connected.
 
-Two checks, both required:
+Drives a pooled multi-session workload in process (4 gateway workers,
+tracing on): per-session deletes and inserts fire the Example 1/2 rules
+plus two DETACHED triggers, so every client command crosses the session
+queue, the worker pool, the ``syb_sendmsg`` datagram hop, and the
+detached action threads.  Every trace retained in the store must then
+form a *single connected span tree*: exactly one root span (no parent)
+and every other span's parent resolving inside the same trace — an
+orphan span means some hand-off dropped the
+:class:`~repro.obs.tracing.TraceContext`.  At least one trace must also
+contain a queue-wait span and two concurrent action spans, so the gate
+is known to have exercised the paths it guards.
 
-1. **Connectivity** — drives a pooled multi-session workload in
-   process (4 gateway workers, tracing on): per-session deletes and
-   inserts fire the Example 1/2 rules plus two DETACHED triggers, so
-   every client command crosses the session queue, the worker pool,
-   the ``syb_sendmsg`` datagram hop, and the detached action threads.
-   Every trace retained in the store must then form a *single
-   connected span tree*: exactly one root span (no parent) and every
-   other span's parent resolving inside the same trace — an orphan
-   span means some hand-off dropped the
-   :class:`~repro.obs.tracing.TraceContext`.  At least one trace must
-   also contain a queue-wait span and two concurrent action spans, so
-   the gate is known to have exercised the paths it guards.
-
-2. **Overhead** — reads the ``BENCH_overhead.json`` artifact produced
-   by ``benchmarks/bench_overhead.py`` and requires the tracing-only
-   series (series 7: what a sampled command pays under ``trace next``)
-   to stay within ``OBS_OVERHEAD_RATIO`` (default 2.0x) of the
-   untraced composite baseline (series 4) — the same ceiling
-   ``tools/check_overhead.py`` applies to the other planes.
+What tracing *costs* (bench series 7) is gated with the other planes by
+``tools/check_overhead.py``.
 
 Usage::
 
-    python tools/check_trace.py                    # ./BENCH_overhead.json
-    python tools/check_trace.py path/to/BENCH_overhead.json
-    OBS_OVERHEAD_RATIO=1.5 python tools/check_trace.py
+    python tools/check_trace.py
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,13 +43,6 @@ from repro.obs.tracing import (  # noqa: E402
     SPAN_QUEUE_WAIT,
 )
 from repro.sqlengine import SqlServer  # noqa: E402
-
-#: Series labels written by benchmarks/bench_overhead.py.
-BASELINE_SERIES = "4 + composite detection (Example 2)"
-TRACED_SERIES = "7 + trace context (sampled commands)"
-
-#: Default ceiling for traced/baseline mean latency.
-DEFAULT_RATIO = 2.0
 
 WORKERS = 4
 SESSIONS = 6
@@ -157,34 +139,9 @@ def check_connectivity() -> list[str]:
         agent.close()
 
 
-def check_overhead(path: Path, max_ratio: float) -> list[str]:
-    """Gate the tracing-only bench series; returns the problems."""
-    if not path.exists():
-        return [f"{path}: artifact not found (run benchmarks/"
-                "bench_overhead.py first)"]
-    payload = json.loads(path.read_text())
-    series = payload.get("series", {})
-    for label in (BASELINE_SERIES, TRACED_SERIES):
-        if label not in series:
-            return [f"{path}: series {label!r} missing"]
-    baseline = series[BASELINE_SERIES]["mean"]
-    if baseline <= 0:
-        return [f"{path}: baseline mean is {baseline}; artifact corrupt"]
-    traced = series[TRACED_SERIES]["mean"]
-    ratio = traced / baseline
-    print(f"tracing overhead: {traced:.4f}ms / {baseline:.4f}ms "
-          f"= {ratio:.2f}x (limit {max_ratio:.2f}x)")
-    if ratio > max_ratio:
-        return [f"{path}: traced mean latency is {ratio:.2f}x the "
-                f"baseline, over the {max_ratio:.2f}x limit"]
-    return []
-
-
-def main(argv: list[str]) -> int:
+def main() -> int:
     """CLI entry point; returns the process exit status."""
-    path = Path(argv[0]) if argv else REPO_ROOT / "BENCH_overhead.json"
-    max_ratio = float(os.environ.get("OBS_OVERHEAD_RATIO", DEFAULT_RATIO))
-    problems = check_connectivity() + check_overhead(path, max_ratio)
+    problems = check_connectivity()
     for problem in problems:
         print(f"FAIL: {problem}")
     if problems:
@@ -194,4 +151,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
