@@ -12,7 +12,7 @@ import os
 import time
 
 from repro.agent import EcaAgent
-from repro.led import LocalEventDetector, ManualClock
+from repro.led import ManualClock
 from repro.obs import summarize
 from repro.sqlengine import SqlServer, connect
 
@@ -64,22 +64,12 @@ def agent_stack(**agent_kwargs):
     return server, agent, conn
 
 
-def example_1_stack(**agent_kwargs):
-    server, agent, conn = agent_stack(**agent_kwargs)
-    conn.execute(EXAMPLE_1)
-    return server, agent, conn
-
-
 def example_2_stack(**agent_kwargs):
     server, agent, conn = agent_stack(**agent_kwargs)
     conn.execute(EXAMPLE_1)
     conn.execute(EXAMPLE_2_DEL)
     conn.execute(EXAMPLE_2_AND)
     return server, agent, conn
-
-
-def fresh_led() -> LocalEventDetector:
-    return LocalEventDetector(clock=ManualClock())
 
 
 def measure_ms(fn, n: int, *args) -> list[float]:
@@ -122,36 +112,6 @@ def write_bench_json(name: str, series: dict[str, list[float]],
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     return path
-
-
-def stage_breakdown_rows(metrics) -> list[tuple]:
-    """Per-stage latency rows from an agent's metrics registry
-    (one row per labeled histogram child), for ``--stage-breakdown``."""
-    from repro.obs import HistogramSummary
-
-    rows = []
-    for family in metrics.families():
-        for labels, metric in family.children():
-            value = metric.value()
-            if not isinstance(value, HistogramSummary):
-                continue
-            rendered = ",".join(f"{k}={v}" for k, v in labels.items())
-            label = f"{family.name}{{{rendered}}}" if rendered else family.name
-            rows.append((label, value.count, f"{value.mean * 1e3:.3f}",
-                         f"{value.p50 * 1e3:.3f}", f"{value.p95 * 1e3:.3f}",
-                         f"{value.p99 * 1e3:.3f}", f"{value.max * 1e3:.3f}"))
-    return rows
-
-
-STAGE_HEADERS = ("stage", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-                 "max_ms")
-
-
-def print_stage_breakdown(title: str, metrics) -> None:
-    """Print the per-stage latency table collected by an agent's metrics."""
-    rows = stage_breakdown_rows(metrics)
-    if rows:
-        print_series(f"{title} — stage breakdown", rows, STAGE_HEADERS)
 
 
 def print_series(title: str, rows: list[tuple], headers: tuple) -> None:

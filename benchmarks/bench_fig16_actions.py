@@ -7,7 +7,7 @@ the client's critical path; the inline path is cheapest end-to-end.
 
 import time
 
-from _helpers import agent_stack, print_series, print_stage_breakdown
+from _helpers import agent_stack, print_series
 
 
 def _with_rule(coupling: str):
@@ -38,14 +38,11 @@ def test_detached_action_cycle(benchmark):
     benchmark.pedantic(fire, rounds=30, iterations=1)
 
 
-def test_client_latency_with_detached_vs_immediate(benchmark,
-                                                   stage_breakdown):
+def test_client_latency_with_detached_vs_immediate(benchmark):
     """Figure series: what the *client* waits for under each coupling."""
 
     def client_cost(coupling, n=100):
         agent, conn = _with_rule(coupling)
-        if stage_breakdown:
-            agent.metrics.enabled = True
         start = time.perf_counter()
         for _ in range(n):
             conn.execute("insert stock values ('X', 1.0, 1)")
@@ -57,8 +54,6 @@ def test_client_latency_with_detached_vs_immediate(benchmark,
             "sentineldb",
             "select count(*) from sysContext where tableName = 'probe'"
         ).last.scalar()
-        if stage_breakdown:
-            print_stage_breakdown(f"E-FIG16 {coupling}", agent.metrics)
         return client, done
 
     immediate_ms, immediate_done = client_cost("IMMEDIATE")

@@ -1,24 +1,6 @@
-"""Make the benchmarks directory importable (for _helpers) and register
-the ``--stage-breakdown`` option: when given, agent benches enable the
-observability layer and print per-stage latency tables alongside their
-headline numbers (costing a little instrumentation overhead)."""
+"""Make the benchmarks directory importable (for _helpers)."""
 
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--stage-breakdown", action="store_true", default=False,
-        help="collect agent metrics during benches and print per-stage "
-             "latency breakdowns (adds instrumentation overhead)")
-
-
-@pytest.fixture
-def stage_breakdown(request) -> bool:
-    """True when ``--stage-breakdown`` was passed on the command line."""
-    return request.config.getoption("--stage-breakdown")

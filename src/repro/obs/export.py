@@ -6,7 +6,8 @@ analysis.  A :class:`TelemetryExporter` snapshots the in-memory
 telemetry surfaces (``MetricsRegistry``, the agent's ``EventLog``,
 ``OpAccounting``) into one append-only JSONL file that rotates by size,
 so a long benchmark or soak run leaves behind a bounded,
-machine-readable artifact (CI uploads it as ``BENCH_telemetry.jsonl``).
+machine-readable artifact (``tools/check_overhead.py`` writes one as
+``BENCH_telemetry.jsonl`` for CI to upload).
 
 Line schema — every line is one JSON object with a ``type`` field:
 

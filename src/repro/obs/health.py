@@ -17,8 +17,8 @@ retry exhaustion, rule-action error rates, notification queue depth, and
 LED dispatch-lock contention (the baseline data for the concurrent
 multi-session gateway work).
 
-``show agent health`` renders the report; ``tools/check_health.py``
-turns a critical report into a nonzero CI exit.
+``show agent health`` renders the report; the agent test suite requires
+it ``ok`` on a clean workload and never ``critical`` under a mixed one.
 """
 
 from __future__ import annotations

@@ -240,6 +240,16 @@ class TestShowAgentCache:
         summary = dict(result.result_sets[0].rows)
         assert summary["coalesced_payloads"] == 0
         assert summary["coalesced_events"] == 0
+        # A second event on (stock, insert): each insert now sends one
+        # datagram carrying both events.
+        active.execute(
+            "create trigger t_add2 on stock for insert event addStk2 "
+            "as print 'add2'")
+        for _ in range(3):
+            active.execute("insert stock values ('IBM', 101.5, 10)")
+        summary = dict(active.execute("show agent cache").result_sets[0].rows)
+        assert summary["coalesced_payloads"] == 3
+        assert summary["coalesced_events"] == 2 * summary["coalesced_payloads"]
 
 
 class TestErrors:

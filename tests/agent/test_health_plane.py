@@ -206,6 +206,26 @@ def test_health_is_ok_on_a_clean_workload(active):
     assert "notification_backlog" in samples
 
 
+def test_health_is_never_critical_under_a_mixed_workload(active):
+    """Metrics on, slowlog armed at 250 ms, 50 rounds of inserts,
+    deletes and repeated reads that raise both primitives and the
+    composite: no watchdog rule may report ``critical``."""
+    agent = active.endpoint.agent
+    agent.metrics.enabled = True
+    active.execute("set agent slowlog 250")
+    for index in range(50):
+        active.execute("insert stock values ('IBM', 100, 10)")
+        active.execute("select symbol, price from stock")
+        active.execute("select symbol from stock where qty = 10")
+        active.execute("select qty from stock")
+        if index % 5 == 4:
+            active.execute("delete stock where symbol = 'IBM'")
+    report = agent.health()
+    assert report.status != "critical", [
+        (finding.rule, finding.status, finding.value)
+        for finding in report.findings]
+
+
 def test_health_is_deterministic(active):
     first = active.execute("show agent health")
     second = active.execute("show agent health")
@@ -244,6 +264,30 @@ def test_cache_splices_origin_rows(active):
         assert by_origin == total
     else:
         assert "plan_cache_client_hits" not in rows
+
+
+def test_rule_origin_sql_stays_cacheable(active):
+    """Over 20 repeated ``^`` firings the generated (rule-origin) SQL
+    hits the plan cache: the per-firing ``sysContext`` refresh binds
+    occurrence numbers through ``@eca_vno<i>`` slots, so its text
+    repeats.  The rate sat near 0.45 when every firing inlined a fresh
+    ``vNo`` literal."""
+    agent = active.endpoint.agent
+    server = agent.server
+    server.plan_cache.enabled = True
+    server.plan_cache.clear()
+
+    def and_firings():
+        return sum(firing.rule_name.endswith("t_and")
+                   for firing in agent.firing_history())
+
+    before = and_firings()
+    for index in range(20):
+        active.execute(f"insert stock values ('R{index}', 1.0, {index})")
+        active.execute(f"delete stock where symbol = 'R{index}'")
+    assert and_firings() - before >= 20
+    rule = server.plan_cache.stats()["origins"]["rule"]
+    assert rule["hit_rate"] > 0.9, rule
 
 
 def test_stats_top_truncates_to_n(active):

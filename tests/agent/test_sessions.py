@@ -121,6 +121,34 @@ class TestWorkerPool:
         finally:
             agent.close()
 
+    def test_pooled_run_records_queue_wait_and_both_lock_paths(self):
+        """With metrics on, every pooled dequeue lands in
+        ``agent_queue_wait_seconds`` (the watchdog's p95 ceiling reads
+        it), and a mixed run takes both engine lock paths: exclusive
+        for DDL, shared for plain DML on a trigger-free table."""
+        agent = pooled_agent(2)
+        agent.metrics.enabled = True
+        try:
+            gateway = agent.gateway
+            sessions = [gateway.open_session(USER, DATABASE)
+                        for _ in range(4)]
+            gateway.execute_for(
+                sessions[0], "create table qw_t (k int not null, v int null)")
+            gateway.execute_for(sessions[0], "insert qw_t values (1, 0)")
+            futures = [gateway.submit_for(session, sql)
+                       for _ in range(5) for session in sessions
+                       for sql in ("update qw_t set v = v + 1 where k = 1",
+                                   "select v from qw_t where k = 1")]
+            for future in futures:
+                future.result(timeout=30)
+            wait = agent.metrics.get("agent_queue_wait_seconds").summary()
+            assert wait.count > 0
+            locks = agent.server.lock_manager.stats()
+            assert locks["shared_batches"] > 0
+            assert locks["exclusive_batches"] > 0
+        finally:
+            agent.close()
+
     def test_backpressure_blocks_then_drains(self):
         agent = pooled_agent(1)
         try:

@@ -71,17 +71,55 @@ def run_client_command(agent):
     raise AssertionError("no trace rooted at the insert command")
 
 
+def assert_one_tree(trace_id, spans):
+    """One root span, and every other span's parent inside the trace —
+    an orphan means some hand-off dropped the trace context."""
+    roots = [s for s in spans if s.parent is None]
+    assert len(roots) == 1, (trace_id, [s.step for s in roots])
+    seqs = {s.seq for s in spans}
+    orphans = [s for s in spans
+               if s.parent is not None and s.parent not in seqs]
+    assert orphans == [], trace_id
+    assert all(s.trace_id == trace_id for s in spans)
+
+
 class TestOneConnectedTree:
     def test_single_root_no_orphans(self, traced_stack):
         agent, _conn, _path = traced_stack
         trace_id, spans = run_client_command(agent)
-        roots = [s for s in spans if s.parent is None]
-        assert len(roots) == 1
-        seqs = {s.seq for s in spans}
-        orphans = [s for s in spans
-                   if s.parent is not None and s.parent not in seqs]
-        assert orphans == []
-        assert all(s.trace_id == trace_id for s in spans)
+        assert_one_tree(trace_id, spans)
+
+    def test_every_trace_of_a_pooled_multi_session_run(self, traced_stack):
+        """6 sessions x 3 rounds of delete / insert / select at 4
+        workers: every retained trace is one connected tree, and the
+        run reached the queue wait and two concurrent actions."""
+        agent, _conn, _path = traced_stack
+        gateway = agent.gateway
+        sessions = [gateway.open_session("sharma", "sentineldb")
+                    for _ in range(6)]
+        futures = [gateway.submit_for(session, sql)
+                   for round_no in range(3)
+                   for index, session in enumerate(sessions)
+                   for sql in ("delete stock",
+                               f"insert stock values ('S{index}', "
+                               f"{round_no}.0, 1)",
+                               "select symbol, price from stock")]
+        for future in futures:
+            future.result(timeout=30)
+        agent.action_handler.join_detached()
+        agent.drain()
+        for session in sessions:
+            session.closed = True
+        trace_ids = agent.trace.trace_ids()
+        assert len(trace_ids) >= len(futures)
+        richest = False
+        for trace_id in trace_ids:
+            spans = agent.trace.spans_for(trace_id)
+            assert_one_tree(trace_id, spans)
+            steps = [s.step for s in spans]
+            richest |= (SPAN_QUEUE_WAIT in steps
+                        and steps.count(FIG4_ACTION_RUN) >= 2)
+        assert richest
 
     def test_tree_has_queue_wait_and_two_action_spans(self, traced_stack):
         agent, _conn, _path = traced_stack
