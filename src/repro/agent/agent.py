@@ -213,7 +213,7 @@ class EcaAgent:
         self.notifier = EventNotifier(
             self.led,
             event_lookup=self._primitive_lookup,
-            v_no_lookup=self._v_no_lookup,
+            v_no_lookup=self.persistent_manager.current_v_no,
             metrics=self.metrics,
             faults=self.faults,
             events=self.events,
@@ -338,10 +338,6 @@ class EcaAgent:
 
     def _primitive_lookup(self, internal: str) -> PrimitiveEventDef | None:
         return self.primitive_events.get(internal.lower())
-
-    def _v_no_lookup(self, internal: str) -> int:
-        db, _user, _obj = split_internal(internal)
-        return self.persistent_manager.current_v_no(db, internal)
 
     def runtime_for_rule(self, rule_name: str) -> TriggerRuntime | None:
         """The runtime wiring of an ECA trigger by LED rule name (None
@@ -815,7 +811,6 @@ class EcaAgent:
         ]
         sql = codegen.native_trigger_sql(
             registration, events, registration.inline_proc_names,
-            pm.system_prefix(registration.db_name),
             self.notify_host, self.notify_port,
         )
         pm.execute(registration.db_name, sql)
@@ -899,9 +894,7 @@ class EcaAgent:
                     if name.lower() != key
                 ]
                 self._regenerate_native_trigger(table_key)
-            pm.execute(primitive.db_name,
-                       f"drop table {primitive.version_table}")
-            self._drop_unused_snapshots(primitive)
+            self._drop_unused_family_tables(primitive)
             del self.primitive_events[key]
             self.led.drop_event(internal)
             pm.delete_primitive(primitive)
@@ -913,27 +906,27 @@ class EcaAgent:
             raise NameError_(f"event '{command.event_name}' does not exist")
         result.messages.append(f"Event {internal} dropped.")
 
-    def _drop_unused_snapshots(self, event: PrimitiveEventDef) -> None:
-        """Drop snapshot (and _tmp) tables no other event still needs."""
-        pm = self.persistent_manager
-        database = self.server.catalog.get_database(event.db_name)
+    def _drop_unused_family_tables(self, event: PrimitiveEventDef) -> None:
+        """Drop the counter, snapshot and _tmp tables no other event on
+        the event's snapshot family still needs."""
+        others = [other for other in self.primitive_events.values()
+                  if other.internal != event.internal]
+        unused: list[str] = []
+        if all(other.version_table != event.version_table
+               for other in others):
+            unused.append(event.version_table)
         for direction in event.snapshot_directions:
             snapshot = event.snapshot_table(direction)
-            still_used = any(
-                other.internal != event.internal
-                and direction in other.snapshot_directions
-                and other.snapshot_table(direction) == snapshot
-                for other in self.primitive_events.values()
-            )
-            if still_used:
-                continue
-            _db, owner, name = split_internal(snapshot)
+            if not any(direction in other.snapshot_directions
+                       and other.snapshot_table(direction) == snapshot
+                       for other in others):
+                unused += [snapshot, snapshot + codegen.TMP_SUFFIX]
+        database = self.server.catalog.get_database(event.db_name)
+        for table in unused:
+            _db, owner, name = split_internal(table)
             if database.get_table(owner, name) is not None:
-                pm.execute(event.db_name, f"drop table {snapshot}")
-            tmp = snapshot + codegen.TMP_SUFFIX
-            _db, owner, name = split_internal(tmp)
-            if database.get_table(owner, name) is not None:
-                pm.execute(event.db_name, f"drop table {tmp}")
+                self.persistent_manager.execute(
+                    event.db_name, f"drop table {table}")
 
     # ------------------------------------------------------------------
     # recovery (Figure 8)

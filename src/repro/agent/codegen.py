@@ -3,12 +3,14 @@
 Given event and trigger definitions, this module produces the SQL the
 agent installs in the (unmodified) SQL server:
 
-- per primitive event: snapshot tables (``<table>_inserted`` /
-  ``<table>_deleted`` with the extra ``vNo`` column), the event's
-  occurrence-number (``Version``) table, and rows in the system tables;
-- per (table, operation): ONE native trigger that — for every primitive
-  event registered on it — bumps ``vNo``, snapshots the transition rows
-  tagged with ``vNo``, sends the ``syb_sendmsg`` notification, and runs
+- per snapshot family (database, defining user, table): snapshot
+  tables (``<table>_inserted`` / ``<table>_deleted`` with the extra
+  ``vNo`` column) and ONE occurrence counter, ``<table>_Version``, that
+  every event on the family shares; per event, rows in the system tables;
+- per (table, operation): ONE native trigger that — once per family of
+  the primitive events registered on it — bumps the family's ``vNo``
+  and snapshots the transition rows tagged with it, then sends one
+  ``syb_sendmsg`` notification carrying every event's segment, and runs
   any inline (primitive + IMMEDIATE) action procedures;
 - per ECA trigger: an action procedure; for composite (or non-immediate)
   triggers the procedure begins with the Figure 14 context-processing
@@ -16,10 +18,12 @@ agent installs in the (unmodified) SQL server:
 
 Differences from the paper's listings are deliberate and documented in
 DESIGN.md §2: the occurrence number is incremented *before* the snapshot
-(Figure 11 tags the snapshot with the stale number), each event has its
-own ``<event>_Version`` table, the notification carries ``vNo``, and the
-Figure 14 join projects ``<snapshot>.*`` instead of a bare ``*`` (which
-would also project the ``sysContext`` columns).
+(Figure 11 tags the snapshot with the stale number); it lives in one
+counter per snapshot family instead of ``SysPrimitiveEvent.vNo`` plus a
+``Version`` copy, so a statement's rows carry one number no other
+statement shares; the notification carries ``vNo``; and the Figure 14
+join projects ``<snapshot>.*`` instead of a bare ``*`` (which would also
+project the ``sysContext`` columns).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def snapshot_table_sql(event: PrimitiveEventDef, direction: str,
 
 
 def version_table_sql(event: PrimitiveEventDef) -> str:
-    """DDL + seed row for the event's occurrence-number table."""
+    """DDL + seed row for the event's snapshot-family counter."""
     version = event.version_table
     return (
         f"create table {version} (vNo int null)\n"
@@ -70,58 +74,56 @@ def version_table_sql(event: PrimitiveEventDef) -> str:
 def native_trigger_sql(registration: TableOpRegistration,
                        events: list[PrimitiveEventDef],
                        inline_procs: list[str],
-                       system_db_prefix: str,
                        notify_host: str, notify_port: int) -> str:
     """The generated native trigger for one (table, operation).
 
-    One block per primitive event (several named events may watch the
-    same table and operation — something native triggers cannot express,
-    Section 2.2), then ONE coalesced ``syb_sendmsg`` carrying every
-    event's segment (``;``-separated), then the inline IMMEDIATE action
-    procedures.  A single-event trigger sends the paper's exact Figure 11
-    payload; coalescing only changes the wire format when several named
-    events share one (table, operation) — and then one datagram replaces
-    N, so the agent decodes, journals, and locks once per statement.
+    One block per snapshot family (the events sharing one
+    :attr:`~repro.agent.model.PrimitiveEventDef.version_table`; several
+    named events may watch the same table and operation — something
+    native triggers cannot express, Section 2.2): bump the family's
+    counter once, read it into a variable, and copy each transition
+    table into its snapshot once, tagged with that number.  Then ONE
+    coalesced ``syb_sendmsg`` carrying every event's segment
+    (``;``-separated, in registration order, each with its family's
+    number), then the inline IMMEDIATE action procedures.  A
+    single-event trigger sends the paper's exact Figure 11 payload;
+    coalescing only changes the wire format when several named events
+    share one (table, operation) — and then one datagram replaces N, so
+    the agent decodes, journals, and locks once per statement.
     """
     table = f"{registration.db_name}.{registration.table_owner}.{registration.table_name}"
     trigger_name = (
         f"{registration.db_name}.{registration.table_owner}."
         f"ECA_{registration.table_name}_{registration.operation}"
     )
+    #: family counter table -> the variable holding this statement's vNo
+    counters: dict[str, str] = {}
+    for event in events:
+        counters.setdefault(event.version_table, f"@v{len(counters)}")
+    declared = "".join(f"{variable} int, " for variable in counters.values())
     lines: list[str] = [
         f"create trigger {trigger_name}",
         f"on {table}",
         f"for {registration.operation}",
         "as",
-        "declare @v int, @r int, @msg varchar(2048)",
+        f"declare {declared}@r int, @msg varchar(2048)",
     ]
-    for position, event in enumerate(events):
-        internal = event.internal
-        version = event.version_table
-        row_filter = (
-            f'dbName = "{event.db_name}" and userName = "{event.user_name}" '
-            f'and eventName = "{event.event_name}"'
-        )
-        lines.append(f"/* event {internal} */")
+    for version, variable in counters.items():
+        family = [event for event in events if event.version_table == version]
         lines.append(
-            f"update {system_db_prefix}.SysPrimitiveEvent set vNo = vNo + 1 "
-            f"where {row_filter}"
-        )
-        lines.append(f"delete {version}")
-        lines.append(
-            f"insert {version} select vNo from {system_db_prefix}."
-            f"SysPrimitiveEvent where {row_filter}"
-        )
-        for direction in event.snapshot_directions:
-            snapshot = event.snapshot_table(direction)
+            f"/* events {', '.join(event.internal for event in family)} */")
+        lines.append(f"update {version} set vNo = vNo + 1")
+        lines.append(f"select {variable} = vNo from {version}")
+        for direction in family[0].snapshot_directions:
             lines.append(
-                f"insert {snapshot} select {direction}.*, vNo "
-                f"from {direction}, {version}"
+                f"insert {family[0].snapshot_table(direction)} "
+                f"select {direction}.*, {variable} from {direction}"
             )
-        lines.append(f"select @v = vNo from {version}")
+    for position, event in enumerate(events):
         segment = (
             f'"{event.user_name} {event.table_name} {event.operation} '
-            f'begin {internal} " + convert(varchar, @v)'
+            f'begin {event.internal} " + '
+            f"convert(varchar, {counters[event.version_table]})"
         )
         if position == 0:
             lines.append(f"select @msg = {segment}")

@@ -55,14 +55,16 @@ class PrimitiveEventDef:
 
     @property
     def version_table(self) -> str:
-        """Internal name of this event's occurrence-number table.
+        """Internal name of the occurrence-number (``vNo``) counter.
 
-        The paper uses a single ``Version`` table; we give each event its
-        own so that several events on one table cannot clobber each
-        other's occurrence number (documented deviation, DESIGN.md §2).
+        One counter per snapshot family — the (database, defining user,
+        table) that :meth:`snapshot_table` keys on — so every event whose
+        rows land in the same snapshot tables draws from one sequence and
+        each firing statement gets one number (documented deviation from
+        Figure 11's per-event ``SysPrimitiveEvent.vNo``, DESIGN.md §2).
         """
         return internal_name(
-            self.db_name, self.user_name, f"{self.event_name}_Version")
+            self.db_name, self.user_name, f"{self.table_name}_Version")
 
     @property
     def native_trigger_name(self) -> str:

@@ -196,8 +196,9 @@ class EventNotifier:
         event_lookup: maps an internal event name to its
             :class:`~repro.agent.model.PrimitiveEventDef` (or None).
         v_no_lookup: fallback used when a notification lacks the
-            occurrence number: reads the current ``vNo`` from
-            ``SysPrimitiveEvent`` via the Persistent Manager.
+            occurrence number (the paper's Figure 11 payload): maps the
+            event's definition to the current ``vNo`` of its snapshot
+            family's counter, read via the Persistent Manager.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; while
             enabled, decode-and-raise latency and outcomes are recorded
             (``agent_notification_seconds`` / ``agent_notifications_total``).
@@ -325,7 +326,7 @@ class EventNotifier:
             )
         v_no = notification.v_no
         if v_no is None and self.v_no_lookup is not None:
-            v_no = self.v_no_lookup(notification.event_internal)
+            v_no = self.v_no_lookup(definition)
         return {
             "user": notification.user,
             "table": notification.table,

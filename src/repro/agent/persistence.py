@@ -292,20 +292,11 @@ class PersistentManager:
     # ------------------------------------------------------------------
     # queries
 
-    def current_v_no(self, database: str, event_internal: str) -> int:
-        """The latest occurrence number of a primitive event.
-
-        Matching by the internal name requires splitting it, since the
-        paper's Figure 5 stores short names per (db, user).
-        """
-        from .naming import split_internal
-
-        db, user, obj = split_internal(event_internal)
-        result = self.execute(database, (
-            "select vNo from SysPrimitiveEvent "
-            f"where dbName = {sql_repr(db)} and userName = {sql_repr(user)} "
-            f"and eventName = {sql_repr(obj)}"
-        ))
+    def current_v_no(self, event: PrimitiveEventDef) -> int:
+        """The latest occurrence number of a primitive event: its snapshot
+        family's counter (``SysPrimitiveEvent.vNo`` stays 0)."""
+        result = self.execute(
+            event.db_name, f"select vNo from {event.version_table}")
         last = result.last
         if last is None or not last.rows:
             return 0

@@ -10,7 +10,8 @@ shrinker takes over.  The comparison surfaces, in checking order:
   constituent sequence numbers), in propagation order;
 - ``firings``: rule firings (rule, event, context, coupling,
   constituents), in execution order — deferred ones at flush time;
-- ``audit``: the firing multiset materialised by rule actions;
+- ``audit``: the ``(rule, parameter rows)`` multiset materialised by
+  rule actions — firing counts *and* the rows each firing was handed;
 - ``tables``: monitored tables after the stream vs the passive shadow
   replay (the transparency property);
 - ``polling`` / ``embedded``: the baseline oracles' views of the same
@@ -78,8 +79,8 @@ def compare_runs(scenario: Scenario, stack: StackRun,
             divergences.append(diff)
     if stack.audit != reference.audit:
         divergences.append(Divergence("audit", (
-            f"stack audit {dict(stack.audit)} vs predicted "
-            f"{dict(reference.audit)}")))
+            f"stack-only (rule, n) {dict(stack.audit - reference.audit)} "
+            f"vs predicted-only {dict(reference.audit - stack.audit)}")))
     if baseline is not None:
         divergences.extend(_compare_baseline(scenario, stack, baseline))
     return divergences

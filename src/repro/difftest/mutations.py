@@ -1,10 +1,11 @@
-"""Intentional LED semantics bugs for harness self-checks.
+"""Intentional semantics bugs for harness self-checks.
 
 A differential harness that never fires is worse than none: these named
-mutations patch one precise Snoop-semantics bug into the production LED
-so CI can prove the harness both *catches* the divergence and *shrinks*
-it to a small corpus reproduction (``tools/check_difftest.py
---mutate <name>``; documented in docs/TESTING.md).
+mutations patch one precise bug into the production LED (Snoop
+semantics) or the agent's code generator (parameter rows) so CI can
+prove the harness both *catches* the divergence and *shrinks* it to a
+small corpus reproduction (``tools/check_difftest.py mutate <name>``;
+documented in docs/TESTING.md).
 
 Each mutation returns a zero-argument restore callable; always restore
 in a ``finally`` — the patch is process-global.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.agent.model import PrimitiveEventDef
+from repro.agent.naming import internal_name
 from repro.led import operators
 from repro.led.rules import Context
 
@@ -112,12 +115,34 @@ def _mutate_recent_consumes_initiator() -> Callable[[], None]:
     return restore
 
 
+def _mutate_vno_per_event() -> Callable[[], None]:
+    """Each event numbers its occurrences from its own counter again.
+
+    The paper's Figure 11 numbering: every event on a table copies the
+    statement's rows into the table's shared snapshot under its *own*
+    ``vNo``, so the Figure 14 join by ``vNo`` also returns rows another
+    event stored under the same number.  Firings stay right; only the
+    parameter rows (``audit.n``) betray it.
+    """
+    original = PrimitiveEventDef.version_table
+    PrimitiveEventDef.version_table = property(
+        lambda event: internal_name(
+            event.db_name, event.user_name,
+            f"{event.event_name}_Version"))  # BUG: should key on table
+
+    def restore() -> None:
+        PrimitiveEventDef.version_table = original
+
+    return restore
+
+
 #: Registry of named mutations; each value arms the bug and returns the
 #: restore callable.
 MUTATIONS: dict[str, Callable[[], Callable[[], None]]] = {
     "seq-chronicle-newest": _mutate_seq_chronicle_newest,
     "and-cumulative-pair-only": _mutate_and_cumulative_pair_only,
     "seq-recent-consumes": _mutate_recent_consumes_initiator,
+    "vno-per-event": _mutate_vno_per_event,
 }
 
 

@@ -628,9 +628,10 @@ class MultiSiteReference:
     the GED's ``gseq`` one-for-one — which is what makes the comparison
     surfaces directly diffable.
 
-    Occurrence numbers (``vNo``) are counted per ``(site, event)`` —
-    the same per-primitive ordinal the agent's ``SysPrimitiveEvent``
-    catalog row carries into each notification datagram.
+    Occurrence numbers (``vNo``) are counted per ``(site, table)`` and
+    drawn once per statement — the agent's one counter per snapshot
+    family (``<table>_Version``), which every event a statement notifies
+    carries in the same notification datagram.
     """
 
     def __init__(self, sites) -> None:
@@ -640,6 +641,7 @@ class MultiSiteReference:
         #: the global composer over qualified primitive names
         self.composer = ReferenceDetector()
         self._qualified: dict[tuple[str, str], str] = {}
+        #: (site, table) -> the last occurrence number drawn
         self._vno: dict[tuple[str, str], int] = {}
         #: the global primitive stream: (qualified name, global seq, vNo)
         self.primitives: list[tuple[str, int, int]] = []
@@ -666,22 +668,23 @@ class MultiSiteReference:
         self.composer.add_rule(name, event_name, context=context,
                                coupling=coupling, priority=priority)
 
-    def raise_site_event(self, site: str, event: str) -> RefOccurrence | None:
-        """Raise one primitive at its site; propagate to the composer.
-
-        Returns the composer's occurrence (``None`` when the event was
-        never imported into the global scope).
-        """
-        self.sites[site].raise_event(event)
-        qualified = self._qualified.get((site, event))
-        if qualified is None:
-            return None
-        key = (site, event)
-        self._vno[key] = self._vno.get(key, 0) + 1
-        occurrence = self.composer.raise_event(qualified)
-        self.primitives.append(
-            (qualified, occurrence.seqs()[0], self._vno[key]))
-        return occurrence
+    def raise_statement(self, site: str, table: str,
+                        events: list[str]) -> None:
+        """Raise the primitives one statement on ``table`` notifies at its
+        site, in order, all under one occurrence number; imported ones
+        propagate to the composer.  A statement that notifies nothing
+        fires no trigger and draws no number."""
+        if not events:
+            return
+        key = (site, table)
+        v_no = self._vno[key] = self._vno.get(key, 0) + 1
+        for event in events:
+            self.sites[site].raise_event(event)
+            qualified = self._qualified.get((site, event))
+            if qualified is not None:
+                occurrence = self.composer.raise_event(qualified)
+                self.primitives.append(
+                    (qualified, occurrence.seqs()[0], v_no))
 
     def flush_deferred(self) -> None:
         """Statement end: flush the composer, then every site."""

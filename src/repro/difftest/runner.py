@@ -107,6 +107,21 @@ def _read_rows(conn, table: str) -> list[tuple]:
     return sorted(tuple(row) for row in rows)
 
 
+def _read_audit(conn) -> Counter:
+    """The ``(rule, parameter rows)`` multiset the rule actions wrote."""
+    return Counter(tuple(row) for row in _read_rows(conn, "audit"))
+
+
+def _shadow(scenario: Scenario):
+    """A bare engine (no agent) holding the scenario's empty tables: the
+    passive replay the reference and the baseline oracles read."""
+    shadow = SqlServer(default_database=DATABASE)
+    conn = connect(shadow, user=USER, database=DATABASE)
+    for table in scenario.tables:
+        conn.execute(TABLE_DDL.format(name=table))
+    return shadow, conn
+
+
 def run_stack(scenario: Scenario, *, plan_cache: bool = True,
               sql_reference: bool = False, faults=None) -> StackRun:
     """Execute the scenario on the full gateway/agent/LED stack.
@@ -137,7 +152,7 @@ def run_stack(scenario: Scenario, *, plan_cache: bool = True,
         for spec in scenario.primitives:
             conn.execute(spec.to_sql())
         for rule in scenario.rules:
-            conn.execute(rule.to_sql())
+            conn.execute(rule.to_sql(scenario.parameter_snapshots(rule.event)))
         log = agent.start_detection_log()
         agent.faults.armed = True
         for index, statement in enumerate(scenario.statements):
@@ -162,9 +177,7 @@ def run_stack(scenario: Scenario, *, plan_cache: bool = True,
                 _short(firing.rule_name), _short(firing.event_name),
                 firing.context.value, firing.coupling.value,
                 tuple(occ.seq for occ in firing.occurrence.flatten())))
-        audit_result = conn.execute("select * from audit")
-        rows = audit_result.last.rows if audit_result.last else []
-        run.audit = Counter(row[0] for row in rows)
+        run.audit = _read_audit(conn)
         for table in scenario.tables:
             run.tables[table] = _read_rows(conn, table)
         run.faults_injected = agent.faults.injected_count
@@ -206,7 +219,8 @@ def run_interleaved(scenario: Scenario, *, clients: int = 4,
         for spec in scenario.primitives:
             setup.execute(spec.to_sql())
         for rule in scenario.rules:
-            setup.execute(rule.to_sql())
+            setup.execute(
+                rule.to_sql(scenario.parameter_snapshots(rule.event)))
         log = agent.start_detection_log()
         for index, statement in enumerate(scenario.statements):
             conn = conns[rng.randrange(len(conns))]
@@ -230,9 +244,7 @@ def run_interleaved(scenario: Scenario, *, clients: int = 4,
                 _short(firing.rule_name), _short(firing.event_name),
                 firing.context.value, firing.coupling.value,
                 tuple(occ.seq for occ in firing.occurrence.flatten())))
-        audit_result = setup.execute("select * from audit")
-        rows = audit_result.last.rows if audit_result.last else []
-        run.audit = Counter(row[0] for row in rows)
+        run.audit = _read_audit(setup)
         for table in scenario.tables:
             run.tables[table] = _read_rows(setup, table)
         run.faults_injected = agent.faults.injected_count
@@ -250,9 +262,19 @@ def run_reference(scenario: Scenario) -> ReferenceRun:
     operation), in trigger-creation order — exactly the segment order of
     the stack's coalesced notification datagram.  DEFERRED rules flush
     at statement end (no open transactions in generated streams).
+
+    Each audited firing also predicts its ``n``: for every snapshot the
+    rule reads (:meth:`~repro.difftest.scenario.Scenario.parameter_snapshots`),
+    the rows of each *distinct* statement among the constituents that
+    write it.  Row counts come from a bare-engine replay, never from the
+    agent.
     """
+    _, shadow = _shadow(scenario)
     ref = ReferenceDetector()
-    audit_rules = {rule.trigger for rule in scenario.rules}
+    audit_snapshots = {rule.trigger: scenario.parameter_snapshots(rule.event)
+                       for rule in scenario.rules}
+    writes = {spec.event: set(scenario.parameter_snapshots(spec.event))
+              for spec in scenario.primitives}
     for spec in scenario.primitives:
         ref.define_primitive(spec.event)
         if spec.coupling != "IMMEDIATE":
@@ -265,10 +287,23 @@ def run_reference(scenario: Scenario) -> ReferenceRun:
             ref.define_composite(rule.event, rule.expression)
         ref.add_rule(rule.trigger, rule.event, context=rule.context,
                      coupling=rule.coupling, priority=rule.priority)
-    for statement in scenario.statements:
+    #: reference seq -> (statement index, rows it affected)
+    statement_of: dict[int, tuple[int, int]] = {}
+    for index, statement in enumerate(scenario.statements):
+        rows = shadow.execute(statement.sql).rowcount
         for event in scenario.raises_for(statement):
-            ref.raise_event(event)
+            seq = ref.raise_event(event).seqs()[0]
+            statement_of[seq] = (index, rows)
         ref.flush_deferred()
+
+    def parameter_rows(rule: str, occurrence) -> int:
+        total = 0
+        for snapshot in audit_snapshots[rule]:
+            statements = {statement_of[seq]
+                          for _time, seq, name in occurrence.prims
+                          if snapshot in writes[name]}
+            total += sum(rows for _index, rows in statements)
+        return total
 
     run = ReferenceRun()
     composites = set(scenario.composite_events())
@@ -284,18 +319,16 @@ def run_reference(scenario: Scenario) -> ReferenceRun:
         run.firings.append((
             firing.rule_name, firing.event_name, firing.context,
             firing.coupling, firing.occurrence.seqs()))
-        if firing.rule_name in audit_rules:
-            run.audit[firing.rule_name] += 1
+        if firing.rule_name in audit_snapshots:
+            run.audit[(firing.rule_name, parameter_rows(
+                firing.rule_name, firing.occurrence))] += 1
     return run
 
 
 def run_baselines(scenario: Scenario) -> BaselineRun:
     """Replay the DML stream on a passive shadow server, watched by the
     polling and embedded-situation baseline oracles."""
-    shadow = SqlServer(default_database=DATABASE)
-    conn = connect(shadow, user=USER, database=DATABASE)
-    for table in scenario.tables:
-        conn.execute(TABLE_DDL.format(name=table))
+    shadow, conn = _shadow(scenario)
     run = BaselineRun()
     counts: dict[str, list[int]] = {table: [] for table in scenario.tables}
     client = EmbeddedSituationClient(conn)
@@ -430,8 +463,8 @@ def run_multisite_reference(scenario: MultiSiteScenario) -> MultiSiteRun:
                              context=rule.context, coupling=rule.coupling,
                              priority=rule.priority)
     for statement in scenario.statements:
-        for event in scenario.raises_for(statement):
-            twin.raise_site_event(statement.site, event)
+        twin.raise_statement(statement.site, statement.table,
+                             scenario.raises_for(statement))
         twin.flush_deferred()
 
     run = MultiSiteRun()

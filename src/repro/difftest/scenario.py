@@ -14,6 +14,8 @@ import json
 import random
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.snoop.ast import EventExpr, EventName
+from repro.snoop.parser import parse_event_expression
 from repro.workloads.generators import (
     DmlStatement,
     PARAMETER_CONTEXTS,
@@ -33,6 +35,31 @@ TABLE_DDL = "create table {name} (k int not null, v int null)"
 #: The audit table collects composite-rule action effects; it has no
 #: triggers of its own, so actions never feed back into detection.
 AUDIT_DDL = "create table audit (rule varchar(40) not null, n int null)"
+
+#: The transition tables a DML operation's snapshot copies (written out
+#: here rather than imported, so the oracle shares no code with the
+#: agent's generator).
+_SNAPSHOT_DIRECTIONS = {
+    "insert": ("inserted",),
+    "update": ("deleted", "inserted"),
+    "delete": ("deleted",),
+}
+
+
+def leaf_names(expression: str) -> set[str]:
+    """Event names referenced by a Snoop expression."""
+    names: set[str] = set()
+
+    def walk(node: EventExpr) -> None:
+        if isinstance(node, EventName):
+            names.add(node.name)
+            return
+        for attr in vars(node).values():
+            if isinstance(attr, EventExpr):
+                walk(attr)
+
+    walk(parse_event_expression(expression))
+    return names
 
 
 @dataclass(frozen=True)
@@ -66,8 +93,10 @@ class RuleSpec:
 
     The first rule naming an event carries its Snoop ``expression``;
     extra rules on an already-defined event leave it ``None``.  Every
-    rule's action is one audit insert tagged with the trigger name, so
-    final table state reflects the firing multiset.
+    rule's action is one audit insert of ``(trigger name, n)``, where
+    ``n`` is the number of parameter rows the action sees, so final
+    table state reflects the firing multiset *and* the rows each firing
+    was handed.
     """
 
     trigger: str
@@ -77,13 +106,19 @@ class RuleSpec:
     coupling: str
     priority: int
 
-    def to_sql(self) -> str:
+    def to_sql(self, snapshots: list[tuple[str, str]]) -> str:
+        """The rule's DDL; ``snapshots`` are the ``(table, direction)``
+        pairs its constituent events snapshot
+        (:meth:`Scenario.parameter_snapshots`), summed into ``n``."""
         event_clause = f"event {self.event}"
         if self.expression is not None:
             event_clause += f" = {self.expression}"
+        rows = " + ".join(
+            f"(select count(*) from {table}.{direction})"
+            for table, direction in snapshots)
         return (f"create trigger {self.trigger} {event_clause} "
                 f"{self.coupling} {self.context} {self.priority} "
-                f"as insert audit values ('{self.trigger}', 0)")
+                f"as insert audit select '{self.trigger}', {rows}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +146,29 @@ class Scenario:
         return [p.event for p in self.primitives
                 if (p.table, p.operation) ==
                 (statement.table, statement.operation)]
+
+    def parameter_snapshots(self, event: str) -> list[tuple[str, str]]:
+        """The ``(table, direction)`` pairs a rule on ``event`` can read
+        parameter rows from: every snapshot of every primitive under the
+        event, through composite leaves, sorted."""
+        expressions = {rule.event: rule.expression for rule in self.rules
+                       if rule.expression is not None}
+        primitives = {spec.event: spec for spec in self.primitives}
+        snapshots: set[tuple[str, str]] = set()
+        pending, seen = [event], set()
+        while pending:
+            name = pending.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name in primitives:
+                spec = primitives[name]
+                snapshots.update(
+                    (spec.table, direction)
+                    for direction in _SNAPSHOT_DIRECTIONS[spec.operation])
+            elif name in expressions:
+                pending.extend(leaf_names(expressions[name]))
+        return sorted(snapshots)
 
     def describe(self) -> str:
         return (f"scenario seed={self.seed}: {len(self.tables)} tables, "

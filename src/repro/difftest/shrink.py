@@ -15,29 +15,10 @@ import hashlib
 from pathlib import Path
 from typing import Callable
 
-from repro.snoop.ast import EventExpr, EventName
-from repro.snoop.parser import parse_event_expression
-
-from .scenario import Scenario
+from .scenario import Scenario, leaf_names
 
 #: Cap on harness re-runs during one shrink (each is three executions).
 DEFAULT_BUDGET = 400
-
-
-def _leaf_names(expression: str) -> set[str]:
-    """Event names referenced by a Snoop expression."""
-    names: set[str] = set()
-
-    def walk(node: EventExpr) -> None:
-        if isinstance(node, EventName):
-            names.add(node.name)
-            return
-        for attr in vars(node).values():
-            if isinstance(attr, EventExpr):
-                walk(attr)
-
-    walk(parse_event_expression(expression))
-    return names
 
 
 class _Budget:
@@ -94,7 +75,7 @@ def _prune_rules(scenario: Scenario,
             others = [r for r in rules if r is not rule]
             referenced = any(r.event == rule.event for r in others)
             referenced = referenced or any(
-                rule.event in _leaf_names(r.expression)
+                rule.event in leaf_names(r.expression)
                 for r in others if r.expression is not None)
             if referenced:
                 continue
@@ -115,7 +96,7 @@ def _prune_primitives(scenario: Scenario,
     needed: set[str] = set()
     for rule in scenario.rules:
         if rule.expression is not None:
-            needed |= _leaf_names(rule.expression)
+            needed |= leaf_names(rule.expression)
     for index in range(len(primitives) - 1, -1, -1):
         if primitives[index].event in needed:
             continue
@@ -164,7 +145,7 @@ def _prune_multisite_primitives(scenario, still_fails, budget: _Budget):
     needed: set[str] = set()
     for rule in scenario.rules:
         if rule.expression is not None:
-            needed |= _leaf_names(rule.expression)
+            needed |= leaf_names(rule.expression)
     for index in range(len(primitives) - 1, -1, -1):
         if primitives[index].qualified in needed:
             continue

@@ -105,8 +105,10 @@ class TestRuntimeBehaviour:
             "sentineldb",
             "select tableName, context, vNo from sysContext "
             "order by tableName").last.rows
-        assert ["sentineldb.sharma.stock_deleted", "RECENT", 1] in rows
-        assert ["sentineldb.sharma.stock_inserted", "RECENT", 2] in rows
+        # Numbers count statements on stock (insert 1, delete 2, insert
+        # 3), not occurrences of each event.
+        assert ["sentineldb.sharma.stock_deleted", "RECENT", 2] in rows
+        assert ["sentineldb.sharma.stock_inserted", "RECENT", 3] in rows
 
     def test_recent_context_uses_latest_occurrence(self, installed, agent):
         installed.execute("insert stock values ('OLD', 1, 1)")
@@ -137,6 +139,60 @@ class TestRuntimeBehaviour:
         astock.execute("insert orders values (1, 'IBM')")
         result = astock.execute("insert stock values ('IBM', 1, 1)")
         assert "both happened" in result.messages
+
+
+AUDIT_DDL = "create table audit (rule varchar(10) null, n int null)"
+
+
+def _audit(conn) -> list[list]:
+    return conn.execute("select rule, n from audit").last.rows
+
+
+class TestSharedSnapshotNumbering:
+    """Events on one table share its snapshots, so they must share one
+    occurrence counter: the Figure 14 join by ``vNo`` may only return
+    the rows of the statements the occurrence is built from."""
+
+    def test_update_and_delete_rows_do_not_collide(self, astock):
+        astock.execute(AUDIT_DDL)
+        astock.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
+        for sql in EXAMPLE_2_SETUP:
+            astock.execute(sql)
+        astock.execute(
+            "create trigger t_upd on stock for update event updStk "
+            "as print 'updStk occurred'")
+        astock.execute(
+            "create trigger t_n event delAdd = delStk ^ addStk RECENT "
+            "as insert audit select 't', count(*) from stock.deleted")
+        astock.execute("update stock set price = 5 where symbol = 'A'")
+        astock.execute("delete stock where symbol = 'B'")
+        astock.execute("insert stock values ('C', 3, 3)")
+        # Only the delete's row: the update's old row is in the same
+        # snapshot table under a different number.
+        assert _audit(astock) == [["t", 1]]
+
+    def test_two_events_one_statement_one_copy(self, astock, agent):
+        astock.execute(AUDIT_DDL)
+        astock.execute(
+            "create trigger t1 on stock for insert event e1 as print 'e1'")
+        astock.execute(
+            "create trigger t2 on stock for insert event e2 as print 'e2'")
+        astock.execute(
+            "create trigger t_both event both12 = e1 ^ e2 RECENT "
+            "as insert audit select 't', count(*) from stock.inserted")
+        payloads = []
+        original = agent.channel._receiver
+        agent.channel.attach(
+            lambda payload: (payloads.append(payload), original(payload)))
+        astock.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
+        assert _audit(astock) == [["t", 2]]
+        snapshot = agent.persistent_manager.execute(
+            "sentineldb",
+            "select vNo from sentineldb.sharma.stock_inserted").last.rows
+        assert snapshot == [[1], [1]]
+        [payload] = payloads
+        segments = payload.split(";")
+        assert [segment.split()[-1] for segment in segments] == ["1", "1"]
 
 
 class TestCompositeOfComposite:

@@ -33,7 +33,7 @@ class TestGeneratedObjects:
 
     def test_version_table_seeded_with_zero(self, installed, agent):
         result = agent.persistent_manager.execute(
-            "sentineldb", "select vNo from sentineldb.sharma.addStk_Version")
+            "sentineldb", "select vNo from sentineldb.sharma.stock_Version")
         assert result.last.rows == [[0]]
 
     def test_action_procedure_created(self, installed, server):
@@ -46,8 +46,11 @@ class TestGeneratedObjects:
         db = server.catalog.get_database("sentineldb")
         trigger = db.get_trigger("sharma", "ECA_stock_insert")
         source = trigger.source
-        # The Figure 11 ingredients, in order.
-        assert "update sentineldb.dbo.SysPrimitiveEvent set vNo = vNo + 1" in source
+        # The Figure 11 ingredients, in order; the number is drawn from
+        # the table's one counter, not SysPrimitiveEvent.
+        assert "update sentineldb.sharma.stock_Version set vNo = vNo + 1" \
+            in source
+        assert "SysPrimitiveEvent" not in source
         assert "insert sentineldb.sharma.stock_inserted" in source
         assert "syb_sendmsg" in source
         assert "execute sentineldb.sharma.t_addStk__Proc" in source
@@ -87,7 +90,7 @@ class TestRuntimeBehaviour:
         installed.execute("insert stock values ('A', 1, 1)")
         installed.execute("insert stock values ('B', 2, 2)")
         assert agent.persistent_manager.current_v_no(
-            "sentineldb", "sentineldb.sharma.addStk") == 2
+            agent.primitive_events["sentineldb.sharma.addstk"]) == 2
 
     def test_snapshot_rows_tagged_with_vno(self, installed, agent):
         installed.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
@@ -149,9 +152,9 @@ class TestSharedSnapshots:
             "create trigger t2 on stock for insert event e2 as print 'e2'")
         result = astock.execute("insert stock values ('A', 1, 1)")
         assert "e1" in result.messages and "e2" in result.messages
-        # Each event tagged the snapshot with its own occurrence number.
+        # The statement's rows are copied once, under one number both
+        # events carry.
         rows = agent.persistent_manager.execute(
             "sentineldb",
-            "select count(*) from sentineldb.sharma.stock_inserted"
-        ).last.scalar()
-        assert rows == 2  # one row per event block
+            "select vNo from sentineldb.sharma.stock_inserted").last.rows
+        assert rows == [[1]]

@@ -1,5 +1,7 @@
 """Unit tests for the code generator helpers (Figures 11/14 building blocks)."""
 
+import re
+
 import pytest
 
 from repro.agent import codegen
@@ -44,7 +46,12 @@ class TestModelDerivedNames:
         assert update_event.snapshot_directions == ("deleted", "inserted")
 
     def test_version_table(self, event):
-        assert event.version_table == "sentineldb.sharma.addStk_Version"
+        # One counter per snapshot family (db, user, table), not per event.
+        assert event.version_table == "sentineldb.sharma.stock_Version"
+        delete_event = PrimitiveEventDef(
+            db_name="sentineldb", user_name="sharma", event_name="delStk",
+            table_owner="sharma", table_name="stock", operation="delete")
+        assert delete_event.version_table == event.version_table
 
     def test_native_trigger_name(self, event):
         assert event.native_trigger_name == "ECA_stock_insert"
@@ -64,8 +71,17 @@ class TestSnapshotSql:
 
     def test_version_table_seeded(self, event):
         sql = codegen.version_table_sql(event)
-        assert "create table sentineldb.sharma.addStk_Version" in sql
+        assert "create table sentineldb.sharma.stock_Version" in sql
         assert "values (0)" in sql
+
+
+def _same_family(operation: str, count: int) -> list[PrimitiveEventDef]:
+    return [
+        PrimitiveEventDef(
+            db_name="sentineldb", user_name="sharma", event_name=f"e{index}",
+            table_owner="sharma", table_name="stock", operation=operation)
+        for index in range(count)
+    ]
 
 
 class TestNativeTriggerSql:
@@ -77,20 +93,58 @@ class TestNativeTriggerSql:
             db_name="sentineldb", table_owner="sharma",
             table_name="stock", operation="insert")
         sql = codegen.native_trigger_sql(
-            registration, [event, second], [], "sentineldb.dbo",
-            "127.0.0.1", 10006)
-        assert sql.count("/* event ") == 2
+            registration, [event, second], [], "127.0.0.1", 10006)
+        # One numbering + snapshot block for the family, one datagram
+        # segment per event, each carrying the family's number.
+        assert sql.count("/* events ") == 1
+        assert sql.count("convert(varchar, @v0)") == 2
         # Both events' segments travel in ONE coalesced datagram.
         assert sql.count("syb_sendmsg") == 1
         assert 'select @msg = @msg + ";"' in sql
+
+    @pytest.mark.parametrize("operation, directions", [
+        ("insert", 1), ("update", 2), ("delete", 1)])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_one_counter_per_family(self, operation, directions, count):
+        registration = TableOpRegistration(
+            db_name="sentineldb", table_owner="sharma",
+            table_name="stock", operation=operation)
+        sql = codegen.native_trigger_sql(
+            registration, _same_family(operation, count), [], "h", 1)
+        bumps = [line for line in sql.splitlines()
+                 if "set vNo = vNo + 1" in line]
+        assert bumps == [
+            "update sentineldb.sharma.stock_Version set vNo = vNo + 1"]
+        assert sql.count("insert sentineldb.sharma.stock_") == directions
+        assert "SysPrimitiveEvent" not in sql
+        assert not re.search(r"delete \S*_Version", sql)
+        assert sql.count("begin sentineldb.sharma.e") == count
+
+    def test_one_variable_per_family_in_event_order(self):
+        # Two defining users watching one table are two families: each
+        # segment carries its own family's number, in registration order.
+        registration = TableOpRegistration(
+            db_name="sentineldb", table_owner="sharma",
+            table_name="stock", operation="insert")
+        events = _same_family("insert", 2)
+        events.insert(1, PrimitiveEventDef(
+            db_name="sentineldb", user_name="dbo", event_name="x",
+            table_owner="sharma", table_name="stock", operation="insert"))
+        sql = codegen.native_trigger_sql(registration, events, [], "h", 1)
+        assert sql.count("set vNo = vNo + 1") == 2
+        assert "select @v1 = vNo from sentineldb.dbo.stock_Version" in sql
+        segments = re.findall(r"begin (\S+) \" \+ convert\(varchar, (@v\d)\)",
+                              sql)
+        assert segments == [("sentineldb.sharma.e0", "@v0"),
+                            ("sentineldb.dbo.x", "@v1"),
+                            ("sentineldb.sharma.e1", "@v0")]
 
     def test_inline_procs_appended_in_order(self, event):
         registration = TableOpRegistration(
             db_name="sentineldb", table_owner="sharma",
             table_name="stock", operation="insert")
         sql = codegen.native_trigger_sql(
-            registration, [event], ["p.first", "p.second"],
-            "sentineldb.dbo", "h", 1)
+            registration, [event], ["p.first", "p.second"], "h", 1)
         assert sql.index("execute p.first") < sql.index("execute p.second")
 
     def test_notification_address_baked_in(self, event):
@@ -98,8 +152,7 @@ class TestNativeTriggerSql:
             db_name="sentineldb", table_owner="sharma",
             table_name="stock", operation="insert")
         sql = codegen.native_trigger_sql(
-            registration, [event], [], "sentineldb.dbo",
-            "128.227.205.215", 10006)
+            registration, [event], [], "128.227.205.215", 10006)
         # The paper's Figure 11 hard-codes exactly this form.
         assert '"128.227.205.215", 10006' in sql
 

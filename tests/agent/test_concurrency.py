@@ -34,7 +34,7 @@ class TestConcurrentClients:
         total = astock.execute("select count(*) from stock").last.scalar()
         assert total == 100
         assert agent.persistent_manager.current_v_no(
-            "sentineldb", "sentineldb.sharma.ev") == 100
+            agent.primitive_events["sentineldb.sharma.ev"]) == 100
         assert agent.notifier.received == 100
 
     def test_parallel_rule_creation(self, agent, astock):

@@ -54,7 +54,7 @@ class TestDropEvent:
         base.execute("drop event e1")
         db = server.catalog.get_database("sentineldb")
         assert db.get_table("sharma", "stock_inserted") is None
-        assert db.get_table("sharma", "e1_Version") is None
+        assert db.get_table("sharma", "stock_Version") is None
         assert db.get_trigger("sharma", "ECA_stock_insert") is None
         assert not agent.led.has_event("sentineldb.sharma.e1")
         count = agent.persistent_manager.execute(
@@ -68,9 +68,31 @@ class TestDropEvent:
         base.execute("drop trigger t1")
         base.execute("drop event e1")
         db = server.catalog.get_database("sentineldb")
-        # e2 still snapshots stock_inserted.
+        # e2 still snapshots stock_inserted and numbers from stock_Version.
         assert db.get_table("sharma", "stock_inserted") is not None
+        assert db.get_table("sharma", "stock_Version") is not None
         assert db.get_trigger("sharma", "ECA_stock_insert") is not None
+
+    def test_family_counter_outlives_all_but_the_last_event(
+            self, base, agent, server):
+        # A delete event shares the table's counter but not its
+        # inserted snapshot: the counter goes with the family's last event.
+        base.execute(
+            "create trigger t2 on stock for delete event e2 as print '2'")
+        base.execute("insert stock values ('A', 1, 1)")
+        base.execute("drop trigger t1")
+        base.execute("drop event e1")
+        db = server.catalog.get_database("sentineldb")
+        assert db.get_table("sharma", "stock_inserted") is None
+        assert db.get_table("sharma", "stock_Version") is not None
+        result = base.execute("delete stock")
+        assert "2" in result.messages
+        assert agent.persistent_manager.current_v_no(
+            agent.primitive_events["sentineldb.sharma.e2"]) == 2
+        base.execute("drop trigger t2")
+        base.execute("drop event e2")
+        assert db.get_table("sharma", "stock_Version") is None
+        assert db.get_table("sharma", "stock_deleted") is None
 
     def test_drop_event_used_by_composite_refused(self, base, agent):
         base.execute(

@@ -51,23 +51,43 @@ class TestWorkloadInvariants:
         assert agent.notifier.rejected == 0
 
     def test_v_no_matches_statement_count(self, loaded, agent):
+        # The insert, update and delete events on stock share one
+        # counter, bumped once by every statement that fires a trigger.
         workload = StockWorkload(seed=11)
-        inserts = 0
+        firing = 0
         for sql in workload.operations(200):
             loaded.execute(sql)
-            if sql.startswith("insert"):
-                inserts += 1
+            if sql.split()[0] in ("insert", "update", "delete"):
+                firing += 1
         assert agent.persistent_manager.current_v_no(
-            "sentineldb", "sentineldb.sharma.addStk") == inserts
+            agent.primitive_events["sentineldb.sharma.addstk"]) == firing
 
     def test_snapshot_vno_values_are_dense(self, loaded, agent):
-        run_workload(loaded, count=150)
-        rows = agent.persistent_manager.execute(
-            "sentineldb",
-            "select distinct vNo from sentineldb.sharma.stock_inserted "
-            "order by vNo").last.rows
-        values = [row[0] for row in rows]
-        assert values == list(range(1, len(values) + 1))
+        # Each firing statement takes the next number, and the snapshot
+        # rows under a number are that one statement's (every workload
+        # statement touches one row).  Per direction the numbers are
+        # increasing but not dense: the other direction's statements
+        # take the numbers in between.
+        pm = agent.persistent_manager
+        addstk = agent.primitive_events["sentineldb.sharma.addstk"]
+        expected = {"inserted": [], "deleted": []}
+        last = 0
+        for sql in StockWorkload(seed=7).operations(150):
+            loaded.execute(sql)
+            v_no = pm.current_v_no(addstk)
+            assert v_no == last + 1
+            last = v_no
+            kind = sql.split()[0]
+            if kind != "delete":
+                expected["inserted"].append(v_no)
+            if kind != "insert":
+                expected["deleted"].append(v_no)
+        for direction, numbers in expected.items():
+            rows = pm.execute(
+                "sentineldb",
+                f"select vNo from sentineldb.sharma.stock_{direction} "
+                "order by vNo").last.rows
+            assert [row[0] for row in rows] == numbers
 
     def test_no_failed_actions(self, loaded, agent):
         run_workload(loaded)
@@ -119,7 +139,7 @@ class TestWorkloadInvariants:
             outcomes.append((
                 len(agent.action_handler.action_log),
                 agent.persistent_manager.current_v_no(
-                    "sentineldb", "sentineldb.sharma.addStk"),
+                    agent.primitive_events["sentineldb.sharma.addstk"]),
                 sorted(map(tuple, conn.execute(
                     "select * from stock").last.rows)),
             ))

@@ -65,7 +65,8 @@ class TestRecovery:
         conn = restarted.connect(user="sharma", database="sentineldb")
         conn.execute("insert stock values ('X', 2, 2)")
         assert restarted.persistent_manager.current_v_no(
-            "sentineldb", "sentineldb.sharma.addStk") == 2  # 1 before restart
+            restarted.primitive_events["sentineldb.sharma.addstk"]
+        ) == 2  # 1 before restart
         restarted.close()
 
     def test_new_rules_can_be_added_after_recovery(self, populated):

@@ -15,8 +15,9 @@ Three sub-commands over :mod:`repro.difftest` (all run by the CI
     the minimised reproduction is written to ``--artifacts`` for upload.
 
 ``mutate``
-    Harness self-check: arm a named intentional LED semantics bug
-    (``repro.difftest.mutations``), prove the sweep catches it within
+    Harness self-check: arm a named intentional semantics bug — in the
+    LED or, for ``vno-per-event``, the agent's occurrence numbering
+    (``repro.difftest.mutations``) — prove the sweep catches it within
     the seed budget, and shrink the catch to a small reproduction
     (``--max-statements`` cap, default 10).  Exits nonzero if the bug
     is NOT caught — a harness that cannot see a planted bug gates
@@ -47,6 +48,7 @@ Usage::
 
     python tools/check_difftest.py --seeds 25
     python tools/check_difftest.py mutate seq-chronicle-newest
+    python tools/check_difftest.py mutate vno-per-event
     python tools/check_difftest.py corpus
     python tools/check_difftest.py interleave --seeds 10 --clients 8
     DIFFTEST_SEEDS=50 python tools/check_difftest.py
