@@ -26,7 +26,7 @@ class SituationCheck:
 
     name: str
     condition_sql: str
-    handler: Callable[[list[list[object]]], None]
+    handler: Callable[[list[tuple]], None]
     fired: int = 0
     evaluations: int = 0
 
@@ -46,7 +46,7 @@ class EmbeddedSituationClient:
     check_queries_issued: int = 0
 
     def add_check(self, name: str, condition_sql: str,
-                  handler: Callable[[list[list[object]]], None]) -> SituationCheck:
+                  handler: Callable[[list[tuple]], None]) -> SituationCheck:
         check = SituationCheck(name, condition_sql, handler)
         self.checks.append(check)
         return check

@@ -14,11 +14,14 @@ DAG-executor bug by construction.
 Unsorted output is in heap cross-product order; the planned path may
 legitimately differ (an ``IN (2, 1)`` index scan is item-major), so
 compare unordered SELECTs as row multisets and ORDER BY output exactly.
+With no plan there is nothing to compile: every expression here — WHERE,
+projection, group keys, aggregate arguments — is interpreted, while the
+planned path runs compiled closures once a plan is hot.
 """
 
 from __future__ import annotations
 
-from repro.sqlengine.evaluator import evaluate, is_true
+from repro.sqlengine.evaluator import evaluate, interpreted, is_true
 from repro.sqlengine.executor import Executor
 
 __all__ = ["NaiveExecutor"]
@@ -45,7 +48,7 @@ class NaiveExecutor(Executor):
                 yield from recurse(depth + 1)
             source.row = None
 
-        return recurse(0)
+        return self._lower(None, statement, env, interpreted), recurse(0)
 
     def _dml_candidates(self, statement, source, table, env, ctx, state):
         return table.rows

@@ -21,6 +21,11 @@ Join strategies (resolved at runtime against the live table):
 - ``nested`` — plain cross product (no usable edge), with the equi
   conjunct still checked by the residual filter.
 
+Every per-row expression — pushed and residual conjuncts, join keys,
+index-hint values — is a callable ``fn(env, ctx)`` from a
+:class:`~repro.sqlengine.planner.Lowered`: compiled once the plan is
+hot, interpreted otherwise.
+
 Everything downstream of the binding stream — projection, grouping,
 ORDER BY, DISTINCT, TOP, INTO — is :class:`~repro.sqlengine.executor.
 Executor` code consuming :func:`select_bindings` one binding at a time.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .evaluator import evaluate, is_true
+from .evaluator import interpreted, is_true
 from .table import _index_key
 
 __all__ = ["BATCH_SIZE", "dml_candidates", "select_bindings"]
@@ -48,8 +53,9 @@ def _hash_join_key(value):
     return _index_key(value)
 
 
-def _hint_rows(hint, table, env, ctx):
-    """Resolve a planned index hint against the *live* table.
+def _hint_rows(hint, values, table, env, ctx):
+    """Resolve a planned index hint against the *live* table; ``values``
+    are the hint's value callables, called only when the index exists.
 
     Returns ``(rows, kind)`` when the hinted index still exists —
     IN-list hints yield item-major candidate order (all rows of the
@@ -64,25 +70,30 @@ def _hint_rows(hint, table, env, ctx):
     if table_index is None:
         return None, None
     if hint.kind == "eq":
-        value = evaluate(hint.exprs[0], env, ctx)
-        return table_index.lookup(table, value), hint.kind
+        return table_index.lookup(table, values[0](env, ctx)), hint.kind
     rows = []
     seen: set[int] = set()
-    for item in hint.exprs:
-        value = evaluate(item, env, ctx)
-        for row in table_index.lookup(table, value):
+    for value in values:
+        for row in table_index.lookup(table, value(env, ctx)):
             if id(row) not in seen:
                 seen.add(id(row))
                 rows.append(row)
     return rows, hint.kind
 
 
-def select_bindings(server, plan, sources, tables, env, ctx):
+def _passes(checks, env, ctx) -> bool:
+    for check in checks:
+        if not is_true(check(env, ctx)):
+            return False
+    return True
+
+
+def select_bindings(server, plan, lowered, sources, tables, env, ctx):
     """Bind each surviving row combination into ``sources`` in place
-    (in FROM-order), yielding once per binding."""
+    (in FROM-order), yielding once per binding; ``lowered`` is the
+    plan's :class:`~repro.sqlengine.planner.Lowered` callables."""
     if not sources:
-        if not plan.empty and all(
-                is_true(evaluate(c, env, ctx)) for c in plan.residual):
+        if not plan.empty and _passes(lowered.residual, env, ctx):
             yield
         return
     if len(plan.steps) == 1 and not plan.residual and not plan.empty:
@@ -92,9 +103,10 @@ def select_bindings(server, plan, sources, tables, env, ctx):
         accounting = server.accounting
         track = accounting is not None and accounting.active()
         step = plan.steps[0]
+        pushed, values, _join = lowered.steps[0]
         source = sources[step.position]
         table = tables[step.position]
-        rows, kind = _hint_rows(step.hint, table, env, ctx)
+        rows, kind = _hint_rows(step.hint, values, table, env, ctx)
         if rows is None:
             rows = list(table.rows)
         if kind is not None:
@@ -103,17 +115,16 @@ def select_bindings(server, plan, sources, tables, env, ctx):
             accounting.note_scan(len(rows), 1 if kind else 0,
                                  0 if kind else 1)
         _flush_counts(server, {"scan": len(rows)})
-        pushed = step.pushed
         try:
             for row in rows:
                 source.row = row
-                if not pushed or all(
-                        is_true(evaluate(c, env, ctx)) for c in pushed):
+                if _passes(pushed, env, ctx):
                     yield
         finally:
             source.row = None
         return
-    survivors = _relational(server, plan, sources, tables, env, ctx)
+    survivors = _relational(server, plan, lowered, sources, tables, env,
+                            ctx)
     step_sources = [sources[position] for position in plan.order]
     try:
         for _ordinals, rows in survivors:
@@ -125,7 +136,7 @@ def select_bindings(server, plan, sources, tables, env, ctx):
             source.row = None
 
 
-def _relational(server, plan, sources, tables, env, ctx) -> list:
+def _relational(server, plan, lowered, sources, tables, env, ctx) -> list:
     """Run the scan/join/filter pipeline; returns surviving bindings
     sorted into FROM-order."""
     counts: dict[str, int] = {}
@@ -137,14 +148,15 @@ def _relational(server, plan, sources, tables, env, ctx) -> list:
 
     stream = iter([[((), ())]])
     bound: list[int] = []
-    for step in plan.steps:
-        stream = _apply_step(server, step, stream, sources, tables,
-                             env, ctx, list(bound), counts, track,
+    for step, lowered_step in zip(plan.steps, lowered.steps):
+        stream = _apply_step(server, step, lowered_step, stream, sources,
+                             tables, env, ctx, list(bound), counts, track,
                              accounting)
         bound.append(step.position)
     if plan.residual:
         stream = _batched(
-            _residual_stage(plan, stream, sources, env, ctx),
+            _residual_stage(plan, lowered.residual, stream, sources, env,
+                            ctx),
             counts, "filter")
 
     bindings = [binding for batch in stream for binding in batch]
@@ -165,9 +177,10 @@ def _flush_counts(server, counts: dict) -> None:
         server.note_plan_ops(counts)
 
 
-def _apply_step(server, step, upstream, sources, tables, env, ctx,
-                bound, counts, track, accounting):
+def _apply_step(server, step, lowered_step, upstream, sources, tables, env,
+                ctx, bound, counts, track, accounting):
     """One pipeline stage: join the incoming bindings with one scan."""
+    pushed, values, keys = lowered_step
     table = tables[step.position]
     spec = step.join
     strategy = "nested"
@@ -184,15 +197,16 @@ def _apply_step(server, step, upstream, sources, tables, env, ctx,
         else:
             strategy = "hash"
     if strategy == "probe":
-        joined = _probe_stage(server, step, index, upstream, sources,
-                              table, env, ctx, bound, counts, track,
-                              accounting)
+        joined = _probe_stage(server, step, pushed, keys[1], index,
+                              upstream, sources, table, env, ctx, bound,
+                              counts, track, accounting)
         return _batched(joined, counts, "join")
-    candidates = _scan_candidates(server, step, sources, table, env,
-                                  ctx, track, accounting, counts)
+    candidates = _scan_candidates(server, step, pushed, values, sources,
+                                  table, env, ctx, track, accounting,
+                                  counts)
     if strategy == "hash":
-        joined = _hash_stage(step, candidates, upstream, sources, env,
-                             ctx, bound)
+        joined = _hash_stage(step, keys, candidates, upstream, sources,
+                             env, ctx, bound)
         return _batched(joined, counts, "join")
     return _batched(_cross_stage(candidates, upstream), counts,
                     "join" if bound else None)
@@ -210,13 +224,13 @@ def _batched(bindings, counts, label):
         yield batch
 
 
-def _scan_candidates(server, step, sources, table, env, ctx, track,
-                     accounting, counts) -> list:
+def _scan_candidates(server, step, pushed, values, sources, table, env,
+                     ctx, track, accounting, counts) -> list:
     """The ``(ordinal, row)`` candidates of one scan: index-narrowed
     when the planned hint's index still exists, full heap order
     otherwise, then filtered by the pushed predicates."""
     source = sources[step.position]
-    rows, kind = _hint_rows(step.hint, table, env, ctx)
+    rows, kind = _hint_rows(step.hint, values, table, env, ctx)
     if rows is None:
         rows = list(table.rows)
     if kind is not None:
@@ -225,12 +239,12 @@ def _scan_candidates(server, step, sources, table, env, ctx, track,
         accounting.note_scan(len(rows), 1 if kind else 0,
                              0 if kind else 1)
     counts["scan"] = counts.get("scan", 0) + len(rows)
-    if not step.pushed:
+    if not pushed:
         return list(enumerate(rows))
     out = []
     for ordinal, row in enumerate(rows):
         source.row = row
-        if all(is_true(evaluate(c, env, ctx)) for c in step.pushed):
+        if _passes(pushed, env, ctx):
             out.append((ordinal, row))
     source.row = None
     return out
@@ -244,14 +258,16 @@ def _cross_stage(candidates, upstream):
                 yield ordinals + (ordinal,), rows + (row,)
 
 
-def _hash_stage(step, candidates, upstream, sources, env, ctx, bound):
+def _hash_stage(step, keys, candidates, upstream, sources, env, ctx,
+                bound):
     """Hash join: build once over this scan, probe per outer binding."""
     spec = step.join
+    inner_key, outer_key = keys
     source = sources[step.position]
     build: dict = {}
     for ordinal, row in candidates:
         source.row = row
-        key = _hash_join_key(evaluate(spec.inner_expr, env, ctx))
+        key = _hash_join_key(inner_key(env, ctx))
         if key is not None:
             build.setdefault(key, []).append((ordinal, row))
     source.row = None
@@ -260,14 +276,15 @@ def _hash_stage(step, candidates, upstream, sources, env, ctx, bound):
     for batch in upstream:
         for ordinals, rows in batch:
             outer_source.row = rows[outer_index]
-            key = _hash_join_key(evaluate(spec.outer_expr, env, ctx))
+            key = _hash_join_key(outer_key(env, ctx))
             matches = build.get(key, ()) if key is not None else ()
             for ordinal, row in matches:
                 yield ordinals + (ordinal,), rows + (row,)
 
 
-def _probe_stage(server, step, index, upstream, sources, table, env,
-                 ctx, bound, counts, track, accounting):
+def _probe_stage(server, step, pushed, outer_key, index, upstream,
+                 sources, table, env, ctx, bound, counts, track,
+                 accounting):
     """Index probe: per outer binding, look up the inner bucket."""
     spec = step.join
     source = sources[step.position]
@@ -279,28 +296,26 @@ def _probe_stage(server, step, index, upstream, sources, table, env,
     for batch in upstream:
         for ordinals, rows in batch:
             outer_source.row = rows[outer_index]
-            value = evaluate(spec.outer_expr, env, ctx)
-            bucket = index.lookup(table, value)
+            bucket = index.lookup(table, outer_key(env, ctx))
             if track:
                 accounting.note_rows(len(bucket))
             counts["scan"] = counts.get("scan", 0) + len(bucket)
             for ordinal, row in enumerate(bucket):
-                if step.pushed:
+                if pushed:
                     source.row = row
-                    if not all(is_true(evaluate(c, env, ctx))
-                               for c in step.pushed):
+                    if not _passes(pushed, env, ctx):
                         continue
                 yield ordinals + (ordinal,), rows + (row,)
 
 
-def _residual_stage(plan, upstream, sources, env, ctx):
+def _residual_stage(plan, residual, upstream, sources, env, ctx):
     """Keep the bindings that satisfy every residual conjunct."""
     step_sources = [sources[position] for position in plan.order]
     for batch in upstream:
         for binding in batch:
             for source, row in zip(step_sources, binding[1]):
                 source.row = row
-            if all(is_true(evaluate(c, env, ctx)) for c in plan.residual):
+            if _passes(residual, env, ctx):
                 yield binding
 
 
@@ -313,7 +328,9 @@ def dml_candidates(server, plan, table, env, ctx):
     re-checks the full WHERE per candidate, so a stale hint can only
     cost speed.
     """
-    rows, kind = _hint_rows(plan.hint, table, env, ctx)
+    hint = plan.hint
+    values = [interpreted(expr) for expr in hint.exprs] if hint else ()
+    rows, kind = _hint_rows(hint, values, table, env, ctx)
     if rows is None:
         return table.rows
     server.note_index_scan(kind)

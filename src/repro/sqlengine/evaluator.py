@@ -6,16 +6,22 @@ and an execution context that supplies local variables, the session, and a
 callback for running subqueries.  SQL ``NULL`` is Python ``None``;
 comparisons involving NULL yield ``None`` (unknown), and WHERE treats
 unknown as false, as the standard requires.
+
+:func:`compile_expr` lowers a tree once (for a memoised plan, on its
+first memo hit) into a closure ``fn(env, ctx)`` equal to ``evaluate``;
+both call the same operator helpers, so three-valued logic and coercion
+are written once.  :func:`interpreted` gives ``evaluate`` that shape.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ExecutionError, SchemaError
+from .errors import ExecutionError, SchemaError, SqlError
 from .expressions import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -80,6 +86,8 @@ class RowEnvironment:
         raise SchemaError(f"unknown column '{ref.describe()}'")
 
     def lookup(self, ref: ColumnRef) -> object:
+        """The value of a column reference in the currently bound row;
+        raises when its source has no row bound."""
         source, index = self.resolve(ref)
         if source.row is None:
             raise ExecutionError(
@@ -119,28 +127,31 @@ def evaluate(expr: Expression, env: RowEnvironment, ctx: EvalContext) -> object:
     if isinstance(expr, ColumnRef):
         return env.lookup(expr)
     if isinstance(expr, VariableRef):
-        if expr.name.startswith("@@"):
-            # Server globals such as @@rowcount / @@trancount.
-            return ctx.session.global_vars.get(expr.name.lower(), 0)
-        if expr.name not in ctx.variables:
-            raise ExecutionError(f"variable '{expr.name}' is not declared")
-        return ctx.variables[expr.name]
+        return _variable(expr.name, ctx)
     if isinstance(expr, UnaryOp):
-        return _eval_unary(expr, env, ctx)
+        return _unary(expr.op, evaluate(expr.operand, env, ctx))
     if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, env, ctx)
+        if expr.op == "AND":
+            return _and(evaluate(expr.left, env, ctx), evaluate, expr.right, env, ctx)
+        if expr.op == "OR":
+            return _or(evaluate(expr.left, env, ctx), evaluate, expr.right, env, ctx)
+        return _binary(expr.op, evaluate(expr.left, env, ctx),
+                       evaluate(expr.right, env, ctx))
     if isinstance(expr, FunctionCall):
-        return _eval_function(expr, env, ctx)
+        handler = _function_handler(expr.name, ctx)
+        fixed, arg_exprs = _function_args(expr)
+        return handler(ctx, *fixed, *[evaluate(a, env, ctx) for a in arg_exprs])
     if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, env, ctx)
-        result = value is None
-        return (not result) if expr.negated else result
+        return (evaluate(expr.operand, env, ctx) is None) != expr.negated
     if isinstance(expr, Between):
-        return _eval_between(expr, env, ctx)
+        return _between(evaluate(expr.operand, env, ctx), evaluate(expr.low, env, ctx),
+                        evaluate(expr.high, env, ctx), expr.negated)
     if isinstance(expr, InList):
-        return _eval_in_list(expr, env, ctx)
+        return _in(evaluate(expr.operand, env, ctx),
+                   (evaluate(item, env, ctx) for item in expr.items), expr.negated)
     if isinstance(expr, InSubquery):
-        return _eval_in_subquery(expr, env, ctx)
+        return _in(evaluate(expr.operand, env, ctx),
+                   _subquery_column(expr.subquery, env, ctx), expr.negated)
     if isinstance(expr, Exists):
         rows = _run_subquery(expr.subquery, env, ctx)
         return bool(rows)
@@ -158,6 +169,99 @@ def evaluate(expr: Expression, env: RowEnvironment, ctx: EvalContext) -> object:
     if isinstance(expr, Star):
         raise ExecutionError("'*' is only valid in a select list")
     raise ExecutionError(f"cannot evaluate expression node {type(expr).__name__}")
+
+
+def interpreted(expr: Expression, env: RowEnvironment | None = None) -> Callable:
+    """``evaluate`` bound to one tree, shaped like :func:`compile_expr`."""
+    return lambda env, ctx: evaluate(expr, env, ctx)
+
+
+def compile_expr(expr: Expression, env: RowEnvironment) -> Callable:
+    """Lower a tree into a closure ``fn(env, ctx)`` returning (or raising)
+    what ``evaluate(expr, env, ctx)`` would.  A column resolving to one
+    of ``env``'s own sources reads its row slot in any environment of
+    that shape; outer, ambiguous and unknown columns, subqueries and
+    ``CASE`` stay :func:`interpreted`, so errors still surface per row."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda env, ctx: value
+    if isinstance(expr, ColumnRef):
+        return _compile_column(expr, env)
+    if isinstance(expr, VariableRef):
+        name = expr.name
+        return lambda env, ctx: _variable(name, ctx)
+    if isinstance(expr, UnaryOp):
+        op, operand = expr.op, compile_expr(expr.operand, env)
+        return lambda env, ctx: _unary(op, operand(env, ctx))
+    if isinstance(expr, BinaryOp):
+        op = expr.op
+        left, right = compile_expr(expr.left, env), compile_expr(expr.right, env)
+        if op == "AND":
+            return lambda env, ctx: _and(left(env, ctx), right, env, ctx)
+        if op == "OR":
+            return lambda env, ctx: _or(left(env, ctx), right, env, ctx)
+        compare = _COMPARISONS.get(op)
+        if compare is None:
+            return lambda env, ctx: _binary(op, left(env, ctx), right(env, ctx))
+
+        def comparison(env, ctx):
+            a, b = left(env, ctx), right(env, ctx)
+            if type(a) in _NUMBERS and type(b) in _NUMBERS:
+                return compare(a, b)
+            return _eval_comparison(op, a, b)
+        return comparison
+    if isinstance(expr, FunctionCall):
+        name = expr.name
+        fixed, arg_exprs = _function_args(expr)
+        args = [compile_expr(arg, env) for arg in arg_exprs]
+        return lambda env, ctx: _function_handler(name, ctx)(
+            ctx, *fixed, *[arg(env, ctx) for arg in args])
+    if isinstance(expr, IsNull):
+        operand, negated = compile_expr(expr.operand, env), expr.negated
+        return lambda env, ctx: (operand(env, ctx) is None) != negated
+    if isinstance(expr, Between):
+        parts = [compile_expr(part, env)
+                 for part in (expr.operand, expr.low, expr.high)]
+        return lambda env, ctx: _between(
+            *[part(env, ctx) for part in parts], expr.negated)
+    if isinstance(expr, InList):
+        operand = compile_expr(expr.operand, env)
+        items = [compile_expr(item, env) for item in expr.items]
+        return lambda env, ctx: _in(operand(env, ctx), (
+            item(env, ctx) for item in items), expr.negated)
+    return interpreted(expr)
+
+
+def _compile_column(ref: ColumnRef, env: RowEnvironment) -> Callable:
+    try:
+        source, index = env.resolve(ref)
+    except SqlError:
+        return interpreted(ref)
+    for position, candidate in enumerate(env.sources):
+        if candidate is source:
+            def column(env, ctx):
+                row = env.sources[position].row
+                if row is None:
+                    return env.lookup(ref)  # raises "outside row context"
+                return row[index]
+            return column
+    return interpreted(ref)
+
+
+#: Two operands of exactly these types (not ``bool``, which ``_harmonize``
+#: coerces) compare directly, as :func:`_eval_comparison` would.
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_NUMBERS = frozenset({int, float})
+
+
+def _variable(name: str, ctx: EvalContext) -> object:
+    if name.startswith("@@"):
+        # Server globals such as @@rowcount / @@trancount.
+        return ctx.session.global_vars.get(name.lower(), 0)
+    if name not in ctx.variables:
+        raise ExecutionError(f"variable '{name}' is not declared")
+    return ctx.variables[name]
 
 
 def _eval_case(expr: CaseExpr, env: RowEnvironment, ctx: EvalContext) -> object:
@@ -192,48 +296,45 @@ def is_true(value: object) -> bool:
 # operator evaluation
 
 
-def _eval_unary(expr: UnaryOp, env: RowEnvironment, ctx: EvalContext) -> object:
-    value = evaluate(expr.operand, env, ctx)
-    if expr.op == "-":
+def _unary(op: str, value: object) -> object:
+    if op == "-":
         if value is None:
             return None
         if not isinstance(value, (int, float)):
             raise ExecutionError(f"cannot negate {value!r}")
         return -value
-    if expr.op == "NOT":
+    if op == "NOT":
         if value is None:
             return None
         return not is_true(value)
-    raise ExecutionError(f"unknown unary operator {expr.op}")
+    raise ExecutionError(f"unknown unary operator {op}")
 
 
-def _eval_binary(expr: BinaryOp, env: RowEnvironment, ctx: EvalContext) -> object:
-    op = expr.op
-
-    if op == "AND":
-        left = evaluate(expr.left, env, ctx)
-        if left is not None and not is_true(left):
-            return False
-        right = evaluate(expr.right, env, ctx)
-        if right is not None and not is_true(right):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        left = evaluate(expr.left, env, ctx)
-        if left is not None and is_true(left):
-            return True
-        right = evaluate(expr.right, env, ctx)
-        if right is not None and is_true(right):
-            return True
-        if left is None or right is None:
-            return None
+# AND / OR evaluate their right operand, ``right(*args)``, only when the
+# left one does not decide.
+def _and(left: object, right: Callable, *args) -> object:
+    if left is not None and not is_true(left):
         return False
+    right = right(*args)
+    if right is not None and not is_true(right):
+        return False
+    if left is None or right is None:
+        return None
+    return True
 
-    left = evaluate(expr.left, env, ctx)
-    right = evaluate(expr.right, env, ctx)
 
+def _or(left: object, right: Callable, *args) -> object:
+    if left is not None and is_true(left):
+        return True
+    right = right(*args)
+    if right is not None and is_true(right):
+        return True
+    if left is None or right is None:
+        return None
+    return False
+
+
+def _binary(op: str, left: object, right: object) -> object:
     if op in ("+", "-", "*", "/", "%"):
         return _eval_arithmetic(op, left, right)
     if op in ("=", "<>", "<", "<=", ">", ">="):
@@ -333,56 +434,41 @@ def _harmonize(left: object, right: object) -> tuple[object, object]:
     return left, right
 
 
-def _eval_between(expr: Between, env: RowEnvironment, ctx: EvalContext) -> object:
-    value = evaluate(expr.operand, env, ctx)
-    low = evaluate(expr.low, env, ctx)
-    high = evaluate(expr.high, env, ctx)
+def _between(value: object, low: object, high: object, negated: bool) -> object:
     if value is None or low is None or high is None:
         return None
     lower_ok = _eval_comparison(">=", value, low)
     upper_ok = _eval_comparison("<=", value, high)
     result = bool(lower_ok) and bool(upper_ok)
-    return (not result) if expr.negated else result
+    return (not result) if negated else result
 
 
-def _eval_in_list(expr: InList, env: RowEnvironment, ctx: EvalContext) -> object:
-    value = evaluate(expr.operand, env, ctx)
+def _in(value: object, candidates, negated: bool) -> object:
+    """SQL ``[NOT] IN`` over lazy ``candidates``, consumed only until one
+    matches (and not at all when ``value`` is NULL)."""
     if value is None:
         return None
     saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, env, ctx)
+    for candidate in candidates:
         if candidate is None:
             saw_null = True
             continue
         if _eval_comparison("=", value, candidate):
-            return not expr.negated
+            return not negated
     if saw_null:
         return None
-    return expr.negated
+    return negated
 
 
-def _eval_in_subquery(expr: InSubquery, env: RowEnvironment, ctx: EvalContext) -> object:
-    value = evaluate(expr.operand, env, ctx)
-    if value is None:
-        return None
-    rows = _run_subquery(expr.subquery, env, ctx)
-    saw_null = False
-    for row in rows:
+def _subquery_column(select, env: RowEnvironment, ctx: EvalContext):
+    """The values of an IN subquery's one column (runs on first pull)."""
+    for row in _run_subquery(select, env, ctx):
         if len(row) != 1:
             raise ExecutionError("IN subquery must return one column")
-        candidate = row[0]
-        if candidate is None:
-            saw_null = True
-            continue
-        if _eval_comparison("=", value, candidate):
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
+        yield row[0]
 
 
-def _run_subquery(select, env: RowEnvironment, ctx: EvalContext) -> list[list[object]]:
+def _run_subquery(select, env: RowEnvironment, ctx: EvalContext) -> list[tuple]:
     if ctx.run_subquery is None:
         raise ExecutionError("subqueries are not available in this context")
     return ctx.run_subquery(select, env)
@@ -426,13 +512,10 @@ def _as_text(value: object) -> str:
         from .types import format_datetime
 
         return format_datetime(value)
-    if isinstance(value, float) and value == int(value):
-        return str(value)
     return str(value)
 
 
-def _eval_function(expr: FunctionCall, env: RowEnvironment, ctx: EvalContext) -> object:
-    name = expr.name
+def _function_handler(name: str, ctx: EvalContext) -> Callable:
     if name in AGGREGATE_FUNCTIONS:
         raise ExecutionError(
             f"aggregate function {name}() is only valid in a select list "
@@ -441,10 +524,14 @@ def _eval_function(expr: FunctionCall, env: RowEnvironment, ctx: EvalContext) ->
     handler = ctx.functions.get(name)
     if handler is None:
         raise ExecutionError(f"unknown function {name}()")
-    arg_exprs = list(expr.args)
-    args: list[object] = []
+    return handler
+
+
+def _function_args(expr: FunctionCall) -> tuple[list[str], tuple]:
+    """``(keyword arguments, evaluated argument trees)`` of a call."""
+    arg_exprs = expr.args
     if (
-        name in ("convert", "datediff", "dateadd", "datename")
+        expr.name in ("convert", "datediff", "dateadd", "datename")
         and arg_exprs
         and isinstance(arg_exprs[0], ColumnRef)
         and len(arg_exprs[0].parts) == 1
@@ -452,25 +539,20 @@ def _eval_function(expr: FunctionCall, env: RowEnvironment, ctx: EvalContext) ->
         # convert(varchar, x) / datediff(minute, a, b): the first argument
         # is a type or datepart keyword, which the parser necessarily read
         # as a column reference.
-        args.append(arg_exprs.pop(0).describe())
-    args.extend(evaluate(arg, env, ctx) for arg in arg_exprs)
-    return handler(ctx, *args)
+        return [arg_exprs[0].describe()], arg_exprs[1:]
+    return [], arg_exprs
 
 
-def compute_aggregate(
-    call: FunctionCall,
-    rows: list[RowEnvironment],
-    ctx: EvalContext,
-) -> object:
-    """Evaluate one aggregate call over a group of row environments."""
+def compute_aggregate(call: FunctionCall, values: list) -> object:
+    """Evaluate one aggregate call over its argument values, one per
+    group member in binding order (``count(*)`` counts the entries)."""
     name = call.name
     if call.star:
         if name != "count":
             raise ExecutionError(f"{name}(*) is not valid")
-        return len(rows)
+        return len(values)
     if len(call.args) != 1:
         raise ExecutionError(f"aggregate {name}() takes exactly one argument")
-    values = [evaluate(call.args[0], env, ctx) for env in rows]
     values = [value for value in values if value is not None]
     if call.distinct:
         seen: list[object] = []

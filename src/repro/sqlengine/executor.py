@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import time as _time
+from dataclasses import fields, replace
 
 from . import dagexec, planner
 from .catalog import Database
@@ -30,18 +31,20 @@ from .evaluator import (
     EvalContext,
     RowEnvironment,
     RowSource,
+    compile_expr,
     compute_aggregate,
     evaluate,
+    interpreted,
     is_true,
 )
 from .expressions import (
     AGGREGATE_FUNCTIONS,
-    BinaryOp,
     ColumnRef,
     Expression,
     FunctionCall,
     Literal,
     Star,
+    aggregate_calls,
     contains_aggregate,
 )
 from .procedures import Procedure
@@ -302,14 +305,16 @@ class Executor:
             statement.tables, state)
         env = RowEnvironment(sources, parent=outer_env)
         ctx = self._eval_context(state)
-        bindings = self._select_bindings(
+        lowered, bindings = self._select_bindings(
             statement, sources, tables, table_keys, env, ctx)
 
         grouped = planner.is_grouped(statement)
         if grouped:
-            result = self._run_grouped_select(statement, env, ctx, bindings)
+            result = self._run_grouped_select(
+                statement, env, ctx, lowered, bindings)
         else:
-            result = self._run_plain_select(statement, env, ctx, bindings)
+            result = self._run_plain_select(
+                statement, env, ctx, lowered, bindings)
 
         if statement.distinct:
             result.rows = _distinct(result.rows)
@@ -348,10 +353,12 @@ class Executor:
         return ("table", database, table.owner.lower(),
                 table.name.lower(), columns)
 
-    def _memo_plan(self, statement, table_keys: tuple, build):
+    def _memo_plan(self, statement, table_keys: tuple, build,
+                   compile_plan=None):
         """The memoized optimized plan for one statement; ``build(epoch)``
         plans it fresh on a memo miss — first execution, DDL epoch bump,
-        or table-key change."""
+        or table-key change.  The first hit makes a plan hot:
+        ``compile_plan(plan)`` fills ``plan.compiled`` once."""
         epoch = self.server.catalog.schema_epoch
         cache = self.server.plan_cache
         plan = cache.get_plan(statement, epoch, table_keys)
@@ -360,6 +367,8 @@ class Executor:
             plan = build(epoch)
             self.server.note_planner_time(_time.perf_counter() - start)
             cache.put_plan(statement, epoch, table_keys, plan)
+        elif compile_plan is not None and plan.compiled is None:
+            plan.compiled = compile_plan(plan)
         return plan
 
     def _select_bindings(self, statement, sources: list[RowSource],
@@ -367,13 +376,50 @@ class Executor:
                          env: RowEnvironment, ctx: EvalContext):
         """The binding stream of one FROM/WHERE: an iterator that binds
         each qualifying row combination into ``sources`` in place, in
-        FROM-order, yielding once per combination."""
+        FROM-order, yielding once per combination; returned with the
+        statement's per-row expressions as callables (:meth:`_lower`)."""
         plan = self._memo_plan(
             statement, table_keys,
             lambda epoch: planner.plan_select(
-                statement, sources, tables, table_keys, env, epoch))
-        return dagexec.select_bindings(
-            self.server, plan, sources, tables, env, ctx)
+                statement, sources, tables, table_keys, env, epoch),
+            lambda plan: self._lower(plan, statement, env, compile_expr))
+        lowered = plan.compiled or self._lower(
+            plan, statement, env, interpreted)
+        return lowered, dagexec.select_bindings(
+            self.server, plan, lowered, sources, tables, env, ctx)
+
+    def _lower(self, plan, statement, env: RowEnvironment, lower):
+        """The per-row expressions a SELECT's (or ``select @x =``'s) path
+        calls, as a :class:`~repro.sqlengine.planner.Lowered` of
+        ``lower(expr, env)``: ``compile_expr`` once for a hot plan, else
+        ``interpreted`` (``plan`` is None for the oracle)."""
+        def each(exprs) -> list:
+            return [lower(expr, env) for expr in exprs]
+
+        expanded, items, group_by, outputs = [], [], (), ()
+        if not isinstance(statement, SelectStatement):
+            outputs = [expr for _name, expr in statement.assignments]
+        else:
+            expanded = self._expand_items(statement.items, env.sources)
+            if not planner.is_grouped(statement):
+                items = each(expr for expr, _name in expanded)
+            else:
+                group_by = statement.group_by
+                outputs = [statement.having,
+                           *(item.expr for item in statement.items),
+                           *(item.expr for item in statement.order_by)]
+        calls = [call for expr in outputs if expr is not None
+                 for call in aggregate_calls(expr)]
+        steps = [
+            (each(step.pushed), each(step.hint.exprs) if step.hint else (),
+             each((step.join.inner_expr, step.join.outer_expr))
+             if step.join else None)
+            for step in (plan.steps if plan is not None else ())]
+        return planner.Lowered(
+            steps, each(plan.residual if plan else ()), expanded, items,
+            each(group_by), calls,
+            each(call.args[0] if len(call.args) == 1 and not call.star
+                 else _COUNTED for call in calls))
 
     def _run_union(self, statement: UnionSelect, state: ExecutionState,
                    outer_env: RowEnvironment | None = None) -> ResultSet:
@@ -386,7 +432,7 @@ class Executor:
             if len(part.columns) != width:
                 raise ExecutionError(
                     "UNION selects must have the same number of columns")
-        rows: list[list[object]] = list(parts[0].rows)
+        rows: list[tuple] = list(parts[0].rows)
         keep_all = True
         for flag, part in zip(statement.all_flags, parts[1:]):
             rows.extend(part.rows)
@@ -455,14 +501,14 @@ class Executor:
 
     def _run_plain_select(self, statement: SelectStatement,
                           env: RowEnvironment, ctx: EvalContext,
-                          bindings) -> ResultSet:
-        expanded = self._expand_items(statement.items, env.sources)
-        columns = [name for _expr, name in expanded]
+                          lowered, bindings) -> ResultSet:
+        columns = [name for _expr, name in lowered.expanded]
         order_exprs = [item.expr for item in statement.order_by]
-        rows: list[list[object]] = []
+        rows: list[tuple] = []
         order_keys: list[tuple] = []
+        items = lowered.items
         for _ in bindings:
-            row = [evaluate(expr, env, ctx) for expr, _name in expanded]
+            row = tuple([item(env, ctx) for item in items])
             rows.append(row)
             if order_exprs:
                 order_keys.append(self._order_key(order_exprs, columns, row, env, ctx))
@@ -472,99 +518,40 @@ class Executor:
 
     def _run_grouped_select(self, statement: SelectStatement,
                             env: RowEnvironment, ctx: EvalContext,
-                            bindings) -> ResultSet:
-        expanded = self._expand_items(statement.items, env.sources)
-        columns = [name for _expr, name in expanded]
-
-        # Materialize qualifying rows as frozen environments.
-        group_rows: dict[tuple, list[RowEnvironment]] = {}
-        group_order: list[tuple] = []
-        for _ in bindings:
-            frozen = _frozen(env)
-            key = tuple(
-                evaluate(expr, frozen, ctx) for expr in statement.group_by)
-            if key not in group_rows:
-                group_rows[key] = []
-                group_order.append(key)
-            group_rows[key].append(frozen)
-
-        if not statement.group_by and not group_rows:
-            # Aggregates over an empty input produce a single row.
-            group_rows[()] = []
-            group_order.append(())
-
-        rows: list[list[object]] = []
+                            lowered, bindings) -> ResultSet:
+        columns = [name for _expr, name in lowered.expanded]
+        rows: list[tuple] = []
         order_keys: list[tuple] = []
         order_exprs = [item.expr for item in statement.order_by]
-        for key in group_order:
-            members = group_rows[key]
-            representative = members[0] if members else env
+        for group in _groups(lowered, bindings, env, ctx,
+                             scalar=not statement.group_by):
             if statement.having is not None:
                 having_value = self._eval_grouped(
-                    statement.having, members, representative, ctx)
+                    statement.having, group, ctx)
                 if not is_true(having_value):
                     continue
-            row = [
-                self._eval_grouped(expr, members, representative, ctx)
-                for expr, _name in expanded
-            ]
+            row = tuple([self._eval_grouped(expr, group, ctx)
+                         for expr, _name in lowered.expanded])
             rows.append(row)
             if order_exprs:
-                keys = tuple(
-                    _null_safe_key(self._eval_grouped(expr, members, representative, ctx))
-                    for expr in order_exprs
-                )
-                order_keys.append(keys)
+                order_keys.append(tuple(
+                    _null_safe_key(self._eval_grouped(expr, group, ctx))
+                    for expr in order_exprs))
         if statement.order_by:
             rows = _sorted_rows(rows, order_keys, statement.order_by)
         return ResultSet(columns=columns, rows=rows)
 
-    def _eval_grouped(self, expr: Expression, members: list[RowEnvironment],
-                      representative: RowEnvironment, ctx: EvalContext) -> object:
-        """Evaluate an expression in grouped context: aggregate calls are
-        computed over the group, everything else against a representative
-        member row."""
-        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return compute_aggregate(expr, members, ctx)
-        if isinstance(expr, FunctionCall):
-            from .evaluator import _eval_function  # scalar path
-
-            return _eval_function(expr, representative, ctx)
-        from .expressions import Between, CaseExpr, InList, IsNull, UnaryOp
-
-        if isinstance(expr, CaseExpr) and contains_aggregate(expr):
-            rebuilt = CaseExpr(
-                whens=tuple(
-                    (Literal(self._eval_grouped(when, members, representative, ctx)),
-                     Literal(self._eval_grouped(then, members, representative, ctx)))
-                    for when, then in expr.whens
-                ),
-                operand=(
-                    Literal(self._eval_grouped(
-                        expr.operand, members, representative, ctx))
-                    if expr.operand is not None else None
-                ),
-                default=(
-                    Literal(self._eval_grouped(
-                        expr.default, members, representative, ctx))
-                    if expr.default is not None else None
-                ),
-            )
-            return evaluate(rebuilt, representative, ctx)
-        if isinstance(expr, BinaryOp):
-            if contains_aggregate(expr):
-                left = self._eval_grouped(expr.left, members, representative, ctx)
-                right = self._eval_grouped(expr.right, members, representative, ctx)
-                rebuilt = BinaryOp(expr.op, Literal(left), Literal(right))
-                return evaluate(rebuilt, representative, ctx)
-            return evaluate(expr, representative, ctx)
-        if isinstance(expr, UnaryOp) and contains_aggregate(expr):
-            inner = self._eval_grouped(expr.operand, members, representative, ctx)
-            return evaluate(UnaryOp(expr.op, Literal(inner)), representative, ctx)
-        return evaluate(expr, representative, ctx)
+    def _eval_grouped(self, expr: Expression, group: tuple,
+                      ctx: EvalContext) -> object:
+        """Evaluate an expression in grouped context: each aggregate call
+        becomes its value over the group's collected arguments, and the
+        rest is evaluated against the group's representative member row
+        (see :func:`_groups`)."""
+        representative, values = group
+        return evaluate(_aggregated(expr, values), representative, ctx)
 
     def _order_key(self, order_exprs: list[Expression], columns: list[str],
-                   row: list[object], env: RowEnvironment, ctx: EvalContext) -> tuple:
+                   row: tuple, env: RowEnvironment, ctx: EvalContext) -> tuple:
         keys = []
         for expr in order_exprs:
             # ORDER BY <position> and ORDER BY <output alias> conveniences.
@@ -990,7 +977,7 @@ class Executor:
             statement.tables, state)
         env = RowEnvironment(sources)
         ctx = self._eval_context(state)
-        bindings = self._select_bindings(
+        lowered, bindings = self._select_bindings(
             statement, sources, tables, table_keys, env, ctx)
         aggregated = any(
             contains_aggregate(expr) for _name, expr in statement.assignments
@@ -998,11 +985,9 @@ class Executor:
         if aggregated:
             # T-SQL allows `select @m = max(price) from t`: aggregate over
             # all qualifying rows, assign once.
-            members = [_frozen(env) for _ in bindings]
-            representative = members[0] if members else env
+            [group] = _groups(lowered, bindings, env, ctx, scalar=True)
             for name, expr in statement.assignments:
-                state.variables[name] = self._eval_grouped(
-                    expr, members, representative, ctx)
+                state.variables[name] = self._eval_grouped(expr, group, ctx)
             return
         matched = 0
         for _ in bindings:
@@ -1307,9 +1292,49 @@ def _column_name(item: SelectItem) -> str:
     return ""
 
 
+#: Collected per row for ``count(*)`` and for a call of the wrong arity
+#: (which ``compute_aggregate`` rejects): one non-NULL value per member.
+_COUNTED = Literal(1)
+
+
+def _groups(lowered, bindings, env: RowEnvironment, ctx: EvalContext,
+            scalar: bool) -> list[tuple]:
+    """Fold a binding stream into ``(representative, values)`` groups in
+    first-seen order: one frozen member row and, per aggregate call (by
+    ``id``), its argument values in binding order, which keeps float
+    ``sum``/``avg`` bit-identical.  ``scalar``: one group even if empty."""
+    keys, arguments = lowered.group_by, lowered.arguments
+    groups: dict[tuple, tuple] = {}
+    for _ in bindings:
+        key = tuple([fn(env, ctx) for fn in keys]) if keys else ()
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (_frozen(env), [[] for _ in arguments])
+        for values, argument in zip(group[1], arguments):
+            values.append(argument(env, ctx))
+    if scalar and not groups:
+        groups[()] = (env, [[] for _ in arguments])
+    calls = [id(call) for call in lowered.calls]
+    return [(representative, dict(zip(calls, values)))
+            for representative, values in groups.values()]
+
+
+def _aggregated(node, values: dict):
+    """``node`` with each aggregate call replaced by a literal of its
+    value over one group's collected arguments (``values``)."""
+    if isinstance(node, FunctionCall) and node.name in AGGREGATE_FUNCTIONS:
+        return Literal(compute_aggregate(node, values[id(node)]))
+    if isinstance(node, tuple):
+        return tuple(_aggregated(part, values) for part in node)
+    if isinstance(node, Expression) and contains_aggregate(node):
+        return replace(node, **{field.name: _aggregated(
+            getattr(node, field.name), values) for field in fields(node)})
+    return node
+
+
 def _frozen(env: RowEnvironment) -> RowEnvironment:
     """A copy of ``env`` holding copies of the currently bound rows, so
-    a group member survives the binding stream moving on."""
+    a group's representative survives the binding stream moving on."""
     return RowEnvironment(
         [
             RowSource(source.keys, source.schema,
@@ -1334,7 +1359,7 @@ def _null_safe_key(value: object) -> tuple:
     return (1, 2, str(value))
 
 
-def _sorted_rows(rows: list[list[object]], keys: list[tuple], order_by) -> list[list[object]]:
+def _sorted_rows(rows: list[tuple], keys: list[tuple], order_by) -> list[tuple]:
     paired = list(zip(keys, rows))
     # Sort by each key in reverse priority order for stability.
     for position in range(len(order_by) - 1, -1, -1):
@@ -1343,9 +1368,9 @@ def _sorted_rows(rows: list[list[object]], keys: list[tuple], order_by) -> list[
     return [row for _key, row in paired]
 
 
-def _distinct(rows: list[list[object]]) -> list[list[object]]:
+def _distinct(rows: list[tuple]) -> list[tuple]:
     seen: set = set()
-    unique: list[list[object]] = []
+    unique: list[tuple] = []
     for row in rows:
         key = tuple(
             (value.timestamp() if isinstance(value, _dt.datetime) else value)

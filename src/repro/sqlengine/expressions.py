@@ -162,33 +162,31 @@ AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 
 def contains_aggregate(expr: Expression) -> bool:
     """Whether the expression tree contains an aggregate call."""
+    return bool(aggregate_calls(expr))
+
+
+def aggregate_calls(expr: Expression) -> list:
+    """The aggregate calls in an expression tree, left to right (not
+    descending into an aggregate's own arguments or subqueries)."""
+    if isinstance(expr, (ColumnRef, Literal)):
+        return []
+    children: tuple = ()
     if isinstance(expr, FunctionCall):
         if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, (InList,)):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(item) for item in expr.items
-        )
-    if isinstance(expr, Between):
-        return (
-            contains_aggregate(expr.operand)
-            or contains_aggregate(expr.low)
-            or contains_aggregate(expr.high)
-        )
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, CaseExpr):
-        parts: list[Expression] = []
-        if expr.operand is not None:
-            parts.append(expr.operand)
-        if expr.default is not None:
-            parts.append(expr.default)
-        for when, then in expr.whens:
-            parts.extend((when, then))
-        return any(contains_aggregate(part) for part in parts)
-    return False
+            return [expr]
+        children = tuple(expr.args)
+    elif isinstance(expr, UnaryOp):
+        children = (expr.operand,)
+    elif isinstance(expr, BinaryOp):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, InList):
+        children = (expr.operand, *expr.items)
+    elif isinstance(expr, Between):
+        children = (expr.operand, expr.low, expr.high)
+    elif isinstance(expr, IsNull):
+        children = (expr.operand,)
+    elif isinstance(expr, CaseExpr):
+        children = (expr.operand, *(part for pair in expr.whens
+                                    for part in pair), expr.default)
+    return [call for child in children if child is not None
+            for call in aggregate_calls(child)]

@@ -24,7 +24,9 @@ Optimizer rules applied during lowering:
 Plans are *logical* and session-safe: they hold table keys, column
 names, and expression references — never ``Table`` objects or column
 indexes — so a memoized plan re-binds cleanly inside triggers (pseudo
-tables), across sessions, and across owner-qualified resolutions.  The
+tables), across sessions, and across owner-qualified resolutions.  (The
+closures a hot plan compiles do hold column slots; the table keys they
+were compiled under include every source's column names.)  The
 executing side (:mod:`repro.sqlengine.dagexec`) re-validates every index
 hint against the runtime table and degrades gracefully when an index is
 gone, keeping staleness a performance matter, never correctness.
@@ -39,6 +41,7 @@ grouping, and unsorted SELECTs do not depend on the join order chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .evaluator import EvalContext, RowEnvironment, evaluate, is_true
 from .expressions import (
@@ -72,6 +75,7 @@ __all__ = [
     "JoinOp",
     "JoinSpec",
     "LimitOp",
+    "Lowered",
     "ProjectOp",
     "ScanOp",
     "SelectPlan",
@@ -327,6 +331,8 @@ class SelectPlan:
     the conjuncts every surviving binding is still checked against
     (everything but pushed predicates and exact hash-join edges, so
     index narrowing can only ever *skip* work, never change answers).
+    ``compiled`` is the plan's :class:`Lowered` closures, filled once on
+    its first memo hit; until then every execution interprets.
     """
 
     statement: object
@@ -337,11 +343,29 @@ class SelectPlan:
     residual: tuple
     empty: bool
     root: object = None
+    compiled: "Lowered | None" = None
 
     @property
     def reordered(self) -> bool:
         """True when the join order differs from FROM order."""
         return self.order != tuple(range(len(self.order)))
+
+
+class Lowered(NamedTuple):
+    """A SELECT's per-row expressions as callables ``fn(env, ctx)``:
+    per scan in :attr:`SelectPlan.steps` a ``(pushed, hint values,
+    (inner, outer) join keys or None)`` triple, the residual, the
+    select list (``expanded``: ``*`` expanded into ``(expr, name)``
+    pairs), the GROUP BY keys, and the argument of each aggregate call
+    in ``calls``."""
+
+    steps: list
+    residual: list
+    expanded: list
+    items: list
+    group_by: list
+    calls: list
+    arguments: list
 
 
 @dataclass

@@ -16,10 +16,11 @@ from .types import format_datetime
 
 @dataclass
 class ResultSet:
-    """One tabular result: ordered column names and rows of Python values."""
+    """One tabular result: ordered column names and rows of Python values
+    (a SELECT's rows are tuples: one object per row to build and free)."""
 
     columns: list[str]
-    rows: list[list[object]] = field(default_factory=list)
+    rows: list[tuple | list] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.rows)

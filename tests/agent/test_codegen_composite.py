@@ -89,7 +89,7 @@ class TestRuntimeBehaviour:
                 in result.messages)
         # The action's parameter query returns the inserted row.
         assert any(rs.columns == ["symbol", "price"]
-                   and rs.rows == [["MSFT", 60.0]]
+                   and rs.rows == [("MSFT", 60.0)]
                    for rs in result.result_sets)
 
     def test_no_fire_on_single_constituent(self, installed, agent):
@@ -107,8 +107,8 @@ class TestRuntimeBehaviour:
             "order by tableName").last.rows
         # Numbers count statements on stock (insert 1, delete 2, insert
         # 3), not occurrences of each event.
-        assert ["sentineldb.sharma.stock_deleted", "RECENT", 2] in rows
-        assert ["sentineldb.sharma.stock_inserted", "RECENT", 3] in rows
+        assert ("sentineldb.sharma.stock_deleted", "RECENT", 2) in rows
+        assert ("sentineldb.sharma.stock_inserted", "RECENT", 3) in rows
 
     def test_recent_context_uses_latest_occurrence(self, installed, agent):
         installed.execute("insert stock values ('OLD', 1, 1)")
@@ -123,7 +123,7 @@ class TestRuntimeBehaviour:
             "sentineldb",
             "select symbol from sentineldb.sharma.stock_inserted_tmp"
         ).last.rows
-        assert rows == [["NEW"]]
+        assert rows == [("NEW",)]
 
     def test_composite_over_two_tables(self, agent, astock):
         astock.execute("create table orders (id int, symbol varchar(10))")
@@ -169,7 +169,7 @@ class TestSharedSnapshotNumbering:
         astock.execute("insert stock values ('C', 3, 3)")
         # Only the delete's row: the update's old row is in the same
         # snapshot table under a different number.
-        assert _audit(astock) == [["t", 1]]
+        assert _audit(astock) == [("t", 1)]
 
     def test_two_events_one_statement_one_copy(self, astock, agent):
         astock.execute(AUDIT_DDL)
@@ -185,11 +185,11 @@ class TestSharedSnapshotNumbering:
         agent.channel.attach(
             lambda payload: (payloads.append(payload), original(payload)))
         astock.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
-        assert _audit(astock) == [["t", 2]]
+        assert _audit(astock) == [("t", 2)]
         snapshot = agent.persistent_manager.execute(
             "sentineldb",
             "select vNo from sentineldb.sharma.stock_inserted").last.rows
-        assert snapshot == [[1], [1]]
+        assert snapshot == [(1,), (1,)]
         [payload] = payloads
         segments = payload.split(";")
         assert [segment.split()[-1] for segment in segments] == ["1", "1"]

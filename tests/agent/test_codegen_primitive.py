@@ -34,7 +34,7 @@ class TestGeneratedObjects:
     def test_version_table_seeded_with_zero(self, installed, agent):
         result = agent.persistent_manager.execute(
             "sentineldb", "select vNo from sentineldb.sharma.stock_Version")
-        assert result.last.rows == [[0]]
+        assert result.last.rows == [(0,)]
 
     def test_action_procedure_created(self, installed, server):
         assert "sharma.t_addStk__Proc" in server.procedure_names("sentineldb")
@@ -64,14 +64,14 @@ class TestGeneratedObjects:
             "select dbName, userName, eventName, tableName, operation, vNo "
             "from SysPrimitiveEvent").last.rows
         assert primitive == [
-            ["sentineldb", "sharma", "addStk", "stock", "insert", 0]]
+            ("sentineldb", "sharma", "addStk", "stock", "insert", 0)]
         trigger = pm.execute(
             "sentineldb",
             "select userName, triggerName, triggerProc, eventName "
             "from SysEcaTrigger").last.rows
-        assert trigger == [[
+        assert trigger == [(
             "sharma", "t_addStk", "sentineldb.sharma.t_addStk__Proc",
-            "sentineldb.sharma.addStk"]]
+            "sentineldb.sharma.addStk")]
 
     def test_event_registered_in_led(self, installed, agent):
         assert agent.led.has_event("sentineldb.sharma.addStk")
@@ -99,7 +99,7 @@ class TestRuntimeBehaviour:
             "sentineldb",
             "select symbol, vNo from sentineldb.sharma.stock_inserted "
             "order by symbol").last.rows
-        assert rows == [["A", 1], ["B", 1], ["C", 2]]
+        assert rows == [("A", 1), ("B", 1), ("C", 2)]
 
     def test_notification_payload_format(self, installed, agent):
         payloads = []
@@ -128,8 +128,8 @@ class TestUpdateAndDeleteEvents:
         new = pm.execute(
             "sentineldb",
             "select price from sentineldb.sharma.stock_inserted").last.rows
-        assert old == [[1.0]]
-        assert new == [[2.0]]
+        assert old == [(1.0,)]
+        assert new == [(2.0,)]
 
     def test_delete_event_uses_deleted_snapshot(self, astock, agent, server):
         astock.execute(
@@ -141,7 +141,7 @@ class TestUpdateAndDeleteEvents:
         rows = agent.persistent_manager.execute(
             "sentineldb",
             "select symbol, vNo from sentineldb.sharma.stock_deleted").last.rows
-        assert rows == [["A", 1]]
+        assert rows == [("A", 1)]
 
 
 class TestSharedSnapshots:
@@ -157,4 +157,4 @@ class TestSharedSnapshots:
         rows = agent.persistent_manager.execute(
             "sentineldb",
             "select vNo from sentineldb.sharma.stock_inserted").last.rows
-        assert rows == [[1]]
+        assert rows == [(1,)]

@@ -33,7 +33,7 @@ class TestContextsEndToEnd:
         astock.execute("insert stock values ('OLD', 1, 1)")
         astock.execute("insert stock values ('NEW', 2, 2)")
         astock.execute("delete stock where symbol = 'OLD'")
-        assert tmp_rows(agent) == [["NEW"]]
+        assert tmp_rows(agent) == [("NEW",)]
 
     def test_chronicle_delivers_oldest_insert(self, astock, agent):
         setup_events(astock)
@@ -43,7 +43,7 @@ class TestContextsEndToEnd:
         astock.execute("insert stock values ('OLD', 1, 1)")
         astock.execute("insert stock values ('NEW', 2, 2)")
         astock.execute("delete stock where symbol = 'NEW'")
-        assert tmp_rows(agent) == [["OLD"]]
+        assert tmp_rows(agent) == [("OLD",)]
 
     def test_cumulative_delivers_all_inserts(self, astock, agent):
         setup_events(astock)
@@ -53,7 +53,7 @@ class TestContextsEndToEnd:
         astock.execute("insert stock values ('A', 1, 1)")
         astock.execute("insert stock values ('B', 2, 2)")
         astock.execute("delete stock where symbol = 'A'")
-        assert tmp_rows(agent) == [["A"], ["B"]]
+        assert tmp_rows(agent) == [("A",), ("B",)]
 
     def test_continuous_fires_per_initiator(self, astock, agent):
         setup_events(astock)
@@ -79,7 +79,7 @@ class TestContextsEndToEnd:
             "sentineldb",
             "select symbol from sentineldb.sharma.stock_deleted_tmp"
         ).last.rows
-        assert rows == [["A"]]
+        assert rows == [("A",)]
 
     def test_multi_row_statement_binds_whole_statement(self, astock, agent):
         setup_events(astock)
@@ -89,7 +89,7 @@ class TestContextsEndToEnd:
         astock.execute("insert stock values ('X', 1, 1), ('Y', 2, 2)")
         astock.execute("delete stock where symbol = 'X'")
         # Both rows of the single insert statement share one vNo.
-        assert tmp_rows(agent) == [["X"], ["Y"]]
+        assert tmp_rows(agent) == [("X",), ("Y",)]
 
     def test_stale_context_rows_cleared_between_firings(self, astock, agent):
         setup_events(astock)
@@ -101,7 +101,7 @@ class TestContextsEndToEnd:
         astock.execute("delete stock where symbol = 'A'")
         astock.execute("insert stock values ('C', 1, 1)")
         astock.execute("delete stock where symbol = 'B'")
-        assert tmp_rows(agent) == [["C"]]
+        assert tmp_rows(agent) == [("C",)]
 
     def test_two_rules_different_contexts_coexist(self, astock, agent):
         setup_events(astock)
@@ -119,7 +119,7 @@ class TestContextsEndToEnd:
             "select context, vNo from sysContext "
             "where tableName = 'sentineldb.sharma.stock_inserted' "
             "order by context, vNo").last.rows
-        assert ["CUMULATIVE", 1] in rows
-        assert ["CUMULATIVE", 2] in rows
-        assert ["RECENT", 2] in rows
+        assert ("CUMULATIVE", 1) in rows
+        assert ("CUMULATIVE", 2) in rows
+        assert ("RECENT", 2) in rows
         assert ["RECENT", 1] not in rows

@@ -124,7 +124,7 @@ class TestContribution5Persistence:
         base.execute("create trigger tc event c = addStk AND delStk as print 'c'")
         rows = agent.persistent_manager.execute(
             "sentineldb", "select eventName from SysCompositeEvent").last.rows
-        assert rows == [["c"]]
+        assert rows == [("c",)]
 
     def test_persistence_is_plain_sql_queryable(self, base):
         # Persistence uses the native DBMS: an ordinary client can read it.
@@ -132,7 +132,7 @@ class TestContribution5Persistence:
             "select eventName, tableName, operation from dbo.SysPrimitiveEvent "
             "order by eventName")
         assert result.last.rows == [
-            ["addStk", "stock", "insert"], ["delStk", "stock", "delete"]]
+            ("addStk", "stock", "insert"), ("delStk", "stock", "delete")]
 
 
 class TestContribution6DetectionAndInvocation:
@@ -152,4 +152,4 @@ class TestContribution6DetectionAndInvocation:
         # The action ran inside the server: its effect is in the table.
         rows = base.execute(
             "select symbol from stock where symbol = 'ACT_ROW'").last.rows
-        assert rows == [["ACT_ROW"]]
+        assert rows == [("ACT_ROW",)]

@@ -143,5 +143,5 @@ class TestMultiDatabaseRecovery:
             "sentineldb", "select dbName from SysPrimitiveEvent").last.rows
         west_rows = pm.execute(
             "tradingdb", "select dbName from SysPrimitiveEvent").last.rows
-        assert east_rows == [["sentineldb"]]
-        assert west_rows == [["tradingdb"]]
+        assert east_rows == [("sentineldb",)]
+        assert west_rows == [("tradingdb",)]

@@ -19,7 +19,7 @@ class TestChecks:
             "cheap", "select symbol from stock where price < 10",
             handler=alerts.append)
         client.execute("insert stock values ('PENNY', 1.0, 1)")
-        assert alerts == [[["PENNY"]]]
+        assert alerts == [[("PENNY",)]]
 
     def test_check_silent_when_condition_fails(self, client):
         alerts = []

@@ -41,4 +41,4 @@ class TestToolkit:
         toolkit.execute("insert stock values ('A', 1, 1)")
         toolkit.execute("delete stock")
         assert toolkit.execute("select * from alerts").last.rows == [
-            ["insert-then-delete"]]
+            ("insert-then-delete",)]

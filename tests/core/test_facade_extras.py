@@ -24,7 +24,7 @@ class TestFacadeExtensions:
         adb.execute("create table t (a int)")
         adb.execute("insert t values (1), (2)")
         adb.execute("create view big as select a from t where a > 1")
-        assert adb.execute("select * from big").last.rows == [[2]]
+        assert adb.execute("select * from big").last.rows == [(2,)]
 
     def test_rule_action_may_query_view(self, adb):
         adb.execute("create table t (a int)")

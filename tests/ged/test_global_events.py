@@ -110,7 +110,7 @@ class TestGlobalDetection:
         sites[0][2].execute("insert trades values ('A', 1)")
         sites[1][2].execute("insert trades values ('B', 2)")
         rows = sites[1][2].execute("select * from dbo.alerts").last.rows
-        assert rows == [["cross-site event"]]
+        assert rows == [("cross-site event",)]
         assert len(ged.firings) == 1
 
     def test_rule_requires_a_global_composite(self, ged, sites):

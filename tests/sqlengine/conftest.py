@@ -45,13 +45,13 @@ class CrossCheckedExecutor(Executor):
 
         try:
             expected = bound_rows(self._oracle._select_bindings(
-                statement, sources, tables, table_keys, env, ctx))
+                statement, sources, tables, table_keys, env, ctx)[1])
         except SqlError:
             # The oracle evaluates the WHERE on every combination, so it
             # can raise where pushdown never looks; let the planned run
             # decide what the client sees.
             expected = None
-        planned = super()._select_bindings(
+        lowered, planned = super()._select_bindings(
             statement, sources, tables, table_keys, env, ctx)
 
         def checked():
@@ -62,7 +62,7 @@ class CrossCheckedExecutor(Executor):
             if expected is not None:
                 assert seen == expected, f"planned != oracle for {statement}"
 
-        return checked()
+        return lowered, checked()
 
     def _dml_candidates(self, statement, source, table, env, ctx, state):
         candidates = super()._dml_candidates(

@@ -11,7 +11,7 @@ from repro.sqlengine.errors import ExecutionError
 class TestStringFunctions:
     def test_upper_lower(self, conn):
         assert conn.execute("select upper('ab'), lower('CD')").last.rows == [
-            ["AB", "cd"]]
+            ("AB", "cd")]
 
     def test_len(self, conn):
         assert conn.execute("select len('hello')").last.scalar() == 5
@@ -25,7 +25,7 @@ class TestStringFunctions:
 
     def test_ltrim_rtrim(self, conn):
         assert conn.execute("select ltrim('  x'), rtrim('x  ')").last.rows == [
-            ["x", "x"]]
+            ("x", "x")]
 
     def test_null_propagation(self, conn):
         assert conn.execute("select upper(null)").last.scalar() is None
@@ -36,7 +36,7 @@ class TestNumericFunctions:
         row = conn.execute(
             "select abs(-3), round(2.567, 1), floor(2.9), ceiling(2.1)"
         ).last.rows[0]
-        assert row == [3, 2.6, 2, 3]
+        assert row == (3, 2.6, 2, 3)
 
     def test_isnull(self, conn):
         assert conn.execute("select isnull(null, 7)").last.scalar() == 7
@@ -64,7 +64,7 @@ class TestNumericFunctions:
 class TestSessionFunctions:
     def test_user_and_db_name(self, conn):
         assert conn.execute("select user_name(), db_name()").last.rows == [
-            ["sharma", "sentineldb"]]
+            ("sharma", "sentineldb")]
 
     def test_getdate_uses_server_clock(self):
         frozen = dt.datetime(1999, 2, 1, 12, 0, 0)

@@ -49,7 +49,7 @@ class TestAlterTable:
         conn.execute("create table t (a int)")
         conn.execute("insert t values (1)")
         conn.execute("alter table t add b varchar(5) null")
-        assert conn.execute("select * from t").last.rows == [[1, None]]
+        assert conn.execute("select * from t").last.rows == [(1, None)]
 
     def test_added_column_must_be_nullable(self, conn):
         conn.execute("create table t (a int)")

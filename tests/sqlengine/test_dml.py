@@ -9,7 +9,7 @@ class TestInsert:
     def test_insert_full_row(self, stock):
         stock.execute("insert stock values ('IBM', 100.0, 10)")
         assert stock.execute("select * from stock").last.rows == [
-            ["IBM", 100.0, 10]]
+            ("IBM", 100.0, 10)]
 
     def test_insert_multiple_rows(self, stock):
         result = stock.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
@@ -18,7 +18,7 @@ class TestInsert:
     def test_insert_with_column_list_nulls_rest(self, stock):
         stock.execute("insert stock (symbol) values ('X')")
         assert stock.execute("select * from stock").last.rows == [
-            ["X", None, None]]
+            ("X", None, None)]
 
     def test_insert_coerces_types(self, stock):
         stock.execute("insert stock values ('A', 10, 5)")
@@ -50,7 +50,7 @@ class TestInsert:
         conn.execute("select * into snap from stock where 1 = 2")
         conn.execute("alter table snap add vNo int null")
         conn.execute("insert snap select *, 7 from stock")
-        assert conn.execute("select vNo from snap").last.rows == [[7]]
+        assert conn.execute("select vNo from snap").last.rows == [(7,)]
 
     def test_rowcount_global(self, stock, conn):
         stock.execute("insert stock values ('A', 1, 1), ('B', 2, 2)")
@@ -71,13 +71,13 @@ class TestUpdate:
     def test_update_where(self, filled):
         filled.execute("update stock set price = price * 2 where symbol = 'A'")
         rows = filled.execute("select symbol, price from stock order by symbol").last
-        assert rows.rows == [["A", 20.0], ["B", 20.0]]
+        assert rows.rows == [("A", 20.0), ("B", 20.0)]
 
     def test_update_sees_old_values(self, filled):
         # Both assignments use pre-update values of the row.
         filled.execute("update stock set price = qty, qty = price where symbol = 'A'")
         rows = filled.execute("select price, qty from stock where symbol = 'A'").last
-        assert rows.rows == [[1.0, 10]]
+        assert rows.rows == [(1.0, 10)]
 
     def test_update_zero_rows(self, filled):
         assert filled.execute(

@@ -15,8 +15,11 @@ class TestThreeValuedLogic:
         return conn
 
     def count(self, conn, predicate):
-        return conn.execute(
-            f"select count(*) from t where {predicate}").last.scalar()
+        # Twice: interpreted, then through the hot plan's compiled closures.
+        sql = f"select count(*) from t where {predicate}"
+        first, second = (conn.execute(sql).last.scalar() for _ in range(2))
+        assert first == second
+        return second
 
     def test_null_and_false_is_false(self, t):
         # b = 0 is unknown, 1 = 2 is false: unknown AND false -> false,
@@ -47,18 +50,18 @@ class TestThreeValuedLogic:
 
 class TestCoercionInComparisons:
     def test_int_vs_string_number(self, conn):
-        assert conn.execute("select 1 where 5 = '5'").last.rows == [[True]]
+        assert conn.execute("select 1 where 5 = '5'").last.rows == [(True,)]
 
     def test_string_vs_float(self, conn):
-        assert conn.execute("select 1 where '2.5' < 3.0").last.rows == [[True]]
+        assert conn.execute("select 1 where '2.5' < 3.0").last.rows == [(True,)]
 
     def test_non_numeric_string_falls_back_to_text(self, conn):
-        assert conn.execute("select 1 where 'abc' = 'abc'").last.rows == [[True]]
+        assert conn.execute("select 1 where 'abc' = 'abc'").last.rows == [(True,)]
 
     def test_datetime_vs_string(self, conn):
         rows = conn.execute(
             "select 1 where getdate() > '1999-01-01'").last.rows
-        assert rows == [[True]]
+        assert rows == [(True,)]
 
     def test_incomparable_types_raise(self, conn):
         with pytest.raises(ExecutionError):
@@ -93,6 +96,13 @@ class TestStringConcat:
 
     def test_null_concat_is_null(self, conn):
         assert conn.execute("select 'a' + null").last.scalar() is None
+
+    def test_infinite_float_concatenates(self, conn):
+        # Twice: the first run interprets, the second runs the hot
+        # plan's compiled closures.
+        for _ in range(2):
+            assert conn.execute(
+                "select 'x' + (1e308 * 10.0)").last.scalar() == "xinf"
 
 
 class TestDivisionSemantics:

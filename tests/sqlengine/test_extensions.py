@@ -22,7 +22,7 @@ class TestCase:
         rows = t.execute(
             "select a, case when a > 2 then 'big' else 'small' end k "
             "from t order by a").last
-        assert rows.rows == [[1, "small"], [2, "small"], [3, "big"]]
+        assert rows.rows == [(1, "small"), (2, "small"), (3, "big")]
 
     def test_simple_case(self, t):
         rows = t.execute(
@@ -141,12 +141,12 @@ class TestViews:
             "create view counts as "
             "select b, count(*) n from t group by b")
         rows = conn.execute("select * from counts order by b").last
-        assert rows.rows == [["x", 2], ["y", 1]]
+        assert rows.rows == [("x", 2), ("y", 1)]
 
     def test_view_of_view(self, t, conn):
         conn.execute("create view v1 as select a, b from t where a > 1")
         conn.execute("create view v2 as select a from v1 where b = 'x'")
-        assert conn.execute("select * from v2").last.rows == [[3]]
+        assert conn.execute("select * from v2").last.rows == [(3,)]
 
     def test_view_joins_with_table(self, t, conn):
         conn.execute("create view vx as select a from t where b = 'x'")
@@ -201,9 +201,9 @@ class TestIndexes:
     def test_index_used_after_mutations(self, t, conn):
         conn.execute("create index ia on t (a)")
         conn.execute("insert t values (42, 'z')")
-        assert conn.execute("select b from t where a = 42").last.rows == [["z"]]
+        assert conn.execute("select b from t where a = 42").last.rows == [("z",)]
         conn.execute("update t set a = 43 where a = 42")
-        assert conn.execute("select b from t where a = 43").last.rows == [["z"]]
+        assert conn.execute("select b from t where a = 43").last.rows == [("z",)]
         assert conn.execute("select b from t where a = 42").last.rows == []
         conn.execute("delete t where a = 43")
         assert conn.execute("select b from t where a = 43").last.rows == []
@@ -212,7 +212,7 @@ class TestIndexes:
         conn.execute("create index ia on t (a)")
         rows = conn.execute(
             "select x.b from t x, t y where x.a = 2 and y.a = x.a").last
-        assert rows.rows == [["y"]]
+        assert rows.rows == [("y",)]
 
     def test_string_index_agrees_with_scan(self, t, conn):
         # '=' on strings is case-sensitive; the index must agree.
@@ -239,7 +239,7 @@ class TestIndexes:
     def test_drop_index(self, t, conn):
         conn.execute("create index ia on t (a)")
         conn.execute("drop index t.ia")
-        assert conn.execute("select b from t where a = 2").last.rows == [["y"]]
+        assert conn.execute("select b from t where a = 2").last.rows == [("y",)]
 
     def test_duplicate_index_name(self, t, conn):
         conn.execute("create index ia on t (a)")

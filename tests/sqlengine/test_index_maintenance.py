@@ -33,7 +33,7 @@ class TestIncrementalMaintenance:
             conn.execute(f"insert stock values ('S{i}', {i}, {i})")
             result = conn.execute(
                 f"select qty from stock where symbol = 'S{i}'")
-            assert result.result_sets[0].rows == [[i]]
+            assert result.result_sets[0].rows == [(i,)]
         # the first lookup builds once; every later insert folds in
         assert index.rebuild_count == 1
 
@@ -57,7 +57,7 @@ class TestIncrementalMaintenance:
         # in-place UPDATE of the indexed column cannot be tracked cheaply
         conn.execute("update stock set symbol = 'Z1' where symbol = 'S1'")
         result = conn.execute("select qty from stock where symbol = 'Z1'")
-        assert result.result_sets[0].rows == [[1]]
+        assert result.result_sets[0].rows == [(1,)]
         assert index.rebuild_count == builds + 1
 
     def test_update_of_other_column_keeps_index_clean(self, indexed):
@@ -71,7 +71,7 @@ class TestIncrementalMaintenance:
         for _ in range(5):
             conn.execute("update stock set qty = qty + 1 where symbol = 'S1'")
         result = conn.execute("select qty from stock where symbol = 'S1'")
-        assert result.result_sets[0].rows == [[6]]
+        assert result.result_sets[0].rows == [(6,)]
         assert index.rebuild_count == builds
 
     def test_lookup_returns_copy_not_live_bucket(self, indexed):

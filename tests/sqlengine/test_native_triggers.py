@@ -18,7 +18,7 @@ class TestTriggerFiring:
             "create trigger tr_i on stock for insert as "
             "insert audit select symbol, 'ins' from inserted")
         audited.execute("insert stock values ('IBM', 1.0, 1)")
-        assert audited.execute("select * from audit").last.rows == [["IBM", "ins"]]
+        assert audited.execute("select * from audit").last.rows == [("IBM", "ins")]
 
     def test_delete_trigger_sees_deleted(self, audited):
         audited.execute("insert stock values ('IBM', 1.0, 1)")
@@ -26,7 +26,7 @@ class TestTriggerFiring:
             "create trigger tr_d on stock for delete as "
             "insert audit select symbol, 'del' from deleted")
         audited.execute("delete stock")
-        assert audited.execute("select * from audit").last.rows == [["IBM", "del"]]
+        assert audited.execute("select * from audit").last.rows == [("IBM", "del")]
 
     def test_update_trigger_sees_both(self, audited):
         audited.execute("insert stock values ('IBM', 1.0, 1)")
@@ -76,7 +76,7 @@ class TestTriggerFiring:
             "create trigger tr2 on audit for insert as "
             "insert audit2 values ('cascade')")
         audited.execute("insert stock values ('A', 1, 1)")
-        assert audited.execute("select * from audit2").last.rows == [["cascade"]]
+        assert audited.execute("select * from audit2").last.rows == [("cascade",)]
 
     def test_recursion_limit(self, conn):
         conn.execute("create table loopy (n int)")

@@ -11,14 +11,14 @@ class TestProcedures:
         stock.execute(
             "create procedure list_stock as select symbol from stock")
         result = stock.execute("exec list_stock")
-        assert result.last.rows == [["IBM"]]
+        assert result.last.rows == [("IBM",)]
 
     def test_positional_parameters(self, stock):
         stock.execute("insert stock values ('IBM', 100.0, 10), ('X', 5.0, 1)")
         stock.execute(
             "create proc above @limit float as "
             "select symbol from stock where price > @limit")
-        assert stock.execute("exec above 50").last.rows == [["IBM"]]
+        assert stock.execute("exec above 50").last.rows == [("IBM",)]
 
     def test_named_parameters(self, stock):
         stock.execute(

@@ -81,7 +81,7 @@ class TestCaseTotality:
             f"sum(case when a < {pivot} then 0 else 1 end) "
             "from t").last.rows[0]
         low = sum(1 for v in data if v < pivot)
-        expected = [low, len(data) - low] if data else [None, None]
+        expected = (low, len(data) - low) if data else (None, None)
         assert result == expected
 
     @_slow

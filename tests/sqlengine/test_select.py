@@ -20,6 +20,13 @@ class TestProjectionAndFilter:
         assert result.columns == ["symbol", "price", "qty"]
         assert len(result.rows) == 4
 
+    def test_rows_are_tuples(self, filled):
+        for sql in ("select * from stock",
+                    "select price, count(*) from stock group by price",
+                    "select symbol from stock union select 'X'"):
+            rows = filled.execute(sql).last.rows
+            assert rows and all(type(row) is tuple for row in rows)
+
     def test_column_projection(self, filled):
         result = filled.execute("select symbol from stock").last
         assert result.columns == ["symbol"]
@@ -28,7 +35,7 @@ class TestProjectionAndFilter:
         result = filled.execute(
             "select symbol, price * qty as notional from stock "
             "where symbol = 'IBM'").last
-        assert result.rows == [["IBM", 1000.0]]
+        assert result.rows == [("IBM", 1000.0)]
 
     def test_where_comparison(self, filled):
         rows = filled.execute("select symbol from stock where price >= 50").last
@@ -96,23 +103,23 @@ class TestAggregates:
         row = filled.execute(
             "select sum(qty), avg(price), min(price), max(price) from stock"
         ).last.rows[0]
-        assert row == [75, 56.25, 25.0, 100.0]
+        assert row == (75, 56.25, 25.0, 100.0)
 
     def test_aggregate_over_empty_table(self, stock):
         row = stock.execute("select count(*), sum(qty) from stock").last.rows[0]
-        assert row == [0, None]
+        assert row == (0, None)
 
     def test_group_by(self, filled):
         result = filled.execute(
             "select price, count(*) n from stock group by price order by price"
         ).last
-        assert result.rows == [[25.0, 1], [50.0, 2], [100.0, 1]]
+        assert result.rows == [(25.0, 1), (50.0, 2), (100.0, 1)]
 
     def test_group_by_having(self, filled):
         result = filled.execute(
             "select price, count(*) n from stock group by price "
             "having count(*) > 1").last
-        assert result.rows == [[50.0, 2]]
+        assert result.rows == [(50.0, 2)]
 
     def test_count_distinct(self, filled):
         assert filled.execute(
@@ -167,7 +174,7 @@ class TestJoinsAndSubqueries:
         result = conn.execute(
             "select stock.symbol, ref.sector from stock, ref "
             "where stock.symbol = ref.symbol order by stock.symbol").last
-        assert result.rows == [["IBM", "hardware"], ["MSFT", "software"]]
+        assert result.rows == [("IBM", "hardware"), ("MSFT", "software")]
 
     def test_alias_join(self, filled, conn):
         result = conn.execute(
@@ -183,7 +190,7 @@ class TestJoinsAndSubqueries:
     def test_scalar_subquery(self, filled):
         assert filled.execute(
             "select symbol from stock "
-            "where price = (select max(price) from stock)").last.rows == [["IBM"]]
+            "where price = (select max(price) from stock)").last.rows == [("IBM",)]
 
     def test_in_subquery(self, filled, conn):
         conn.execute("create table watch (symbol varchar(10))")
@@ -199,7 +206,7 @@ class TestJoinsAndSubqueries:
         rows = conn.execute(
             "select symbol from stock where exists "
             "(select * from watch where watch.symbol = stock.symbol)").last
-        assert rows.rows == [["MSFT"]]
+        assert rows.rows == [("MSFT",)]
 
     def test_scalar_subquery_multiple_rows_raises(self, filled):
         with pytest.raises(ExecutionError):

@@ -31,6 +31,7 @@ DEFAULT_SURFACE = [
     "src/repro/agent/session.py",
     "src/repro/agent/workers.py",
     "src/repro/sqlengine/locks.py",
+    "src/repro/sqlengine/evaluator.py",
     "src/repro/sqlengine/planner.py",
     "src/repro/sqlengine/dagexec.py",
     "src/repro/difftest/sqlref.py",
