@@ -22,6 +22,7 @@ clamped to the underlying buffer's capacity.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import partial
 from typing import Callable, NamedTuple
@@ -638,6 +639,9 @@ class AgentAdmin:
         try:
             threshold = float(value)
         except ValueError:
+            threshold = math.nan
+        # nan/inf would arm a recorder that never fires yet taxes commands
+        if not math.isfinite(threshold):
             return _error_result(
                 f"'set agent slowlog' expects a threshold in ms or "
                 f"'off', got {value!r}")

@@ -145,8 +145,10 @@ class EcaAgent:
         self.exporter = exporter
         #: resource accounting: always on (plain int adds per hook),
         #: charging every command to its session and every action to its
-        #: rule — ``show agent top [rules|sessions]``.
-        self.accounting = OpAccounting()
+        #: rule — ``show agent top [rules|sessions]`` — and the SQL
+        #: engine's only report: closed frames fold into the ``sql_*``
+        #: counters of the registry.
+        self.accounting = OpAccounting(metrics=self.metrics)
         #: the one per-thread ambient context (open spans, inherited
         #: command context, hop parents, accounting frames) the event
         #: log and the accounting plane read and write, so every
@@ -172,7 +174,6 @@ class EcaAgent:
         self._m_eca_commands = self.metrics.counter(
             "agent_eca_commands_total",
             "ECA commands handled, by command kind", ("kind",))
-        server.attach_metrics(self.metrics)
         server.attach_accounting(self.accounting)
         self.action_handler = ActionHandler(self)
         self.led = LocalEventDetector(
@@ -274,7 +275,6 @@ class EcaAgent:
         self.action_handler.join_detached()
         self.channel.stop()
         self.server.set_datagram_sink(None)
-        self.server.attach_metrics(None)
         self.server.attach_accounting(None)
 
     # ------------------------------------------------------------------

@@ -27,11 +27,13 @@ One event stream, several views, mirroring what the paper's evaluation
 - :mod:`repro.obs.export` — the :class:`TelemetryExporter` snapshotting
   metrics, the event stream and accounting totals into rotating,
   size-bounded JSONL through one ``Event`` → line function;
-- :mod:`repro.obs.metrics` — thread-safe :class:`Counter` / :class:`Gauge`
-  / :class:`Histogram` primitives behind a labeled
+- :mod:`repro.obs.metrics` — thread-safe :class:`Counter` /
+  :class:`Histogram` primitives behind a labeled
   :class:`MetricsRegistry`, with text and dict exporters;
 - :mod:`repro.obs.opcontext` — ambient per-session / per-rule resource
   accounting (:class:`OpAccounting`, surfaced by ``show agent top``);
+  the SQL engine's one observability seam — closed frames fold into the
+  registry's ``sql_*`` counters;
 - :mod:`repro.obs.health` — the declarative watchdog
   (:class:`HealthEvaluator` behind ``show agent health``).
 
@@ -63,7 +65,6 @@ from .health import (
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     HistogramSummary,
     MetricFamily,
@@ -107,7 +108,6 @@ __all__ = [
     "Event",
     "EventLog",
     "FlightRecorder",
-    "Gauge",
     "Handoff",
     "HealthEvaluator",
     "HealthFinding",

@@ -1,7 +1,7 @@
 """Thread-safe metrics primitives and the process-wide registry.
 
 The paper's evaluation (Figures 15-17) is entirely about *where time
-goes* inside the ECA Agent; this module provides the counters, gauges and
+goes* inside the ECA Agent; this module provides the counters and
 latency histograms the instrumented pipeline reports into, plus the
 summary math the benchmark suite reuses for tail-latency reporting.
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
     "HistogramSummary",
     "MetricFamily",
@@ -215,38 +214,6 @@ class Counter(_Metric):
             self._value = 0
 
 
-class Gauge(_Metric):
-    """A value that can go up and down (queue depths, open sessions)."""
-
-    kind = "gauge"
-
-    def __init__(self, registry: "MetricsRegistry"):
-        super().__init__(registry)
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
 class Histogram(_Metric):
     """Log-bucketed latency/size distribution.
 
@@ -384,7 +351,7 @@ class Histogram(_Metric):
 class MetricFamily:
     """One named metric with a fixed label schema and per-label children.
 
-    An unlabeled family acts as its own single child: ``inc``/``set``/
+    An unlabeled family acts as its own single child: ``inc``/
     ``observe`` proxy to ``labels()`` with no values.
     """
 
@@ -405,7 +372,14 @@ class MetricFamily:
         return self.metric_cls.kind
 
     def labels(self, *values) -> _Metric:
-        """The child metric for one label-value tuple (created on demand)."""
+        """The child metric for one label-value tuple (created on demand).
+
+        Keys are tuples of strings, so the usual all-``str`` call finds
+        an existing child in one dict read; anything else is checked and
+        normalized first."""
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"metric '{self.name}' takes {len(self.labelnames)} label "
@@ -425,12 +399,6 @@ class MetricFamily:
 
     def inc(self, amount=1) -> None:
         self.labels().inc(amount)
-
-    def dec(self, amount=1) -> None:
-        self.labels().dec(amount)
-
-    def set(self, value) -> None:
-        self.labels().set(value)
 
     def observe(self, value) -> None:
         self.labels().observe(value)
@@ -502,10 +470,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "",
                 labelnames: tuple[str, ...] = ()) -> MetricFamily:
         return self._family(name, Counter, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, Gauge, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: tuple[str, ...] = (),

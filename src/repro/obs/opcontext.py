@@ -8,7 +8,9 @@ frame around every rule action; instrumentation points deep in the stack
 detections) charge the innermost frames without knowing anything about
 sessions or rules.  When a frame finishes, its counters fold into
 per-session and per-rule totals, surfaced by ``show agent top
-[rules|sessions] [N]``.
+[rules|sessions] [N]``, and a thread's outermost frame also folds its
+SQL counters into the agent's metric registry — the SQL engine reports
+nothing else.
 
 Design constraints, mirroring the rest of ``repro.obs``:
 
@@ -207,7 +209,7 @@ class _RuleScope:
 
     def __exit__(self, exc_type, _exc, _tb) -> bool:
         seconds = time.perf_counter() - self._start
-        self._accounting._pop(self._frame)
+        self._accounting._close(self._frame)
         self._accounting._fold_rule(
             self._frame, seconds, error=self._error or exc_type is not None)
         return False
@@ -217,11 +219,17 @@ class OpAccounting:
     """Per-session and per-rule resource accounting over ambient frames.
 
     The agent owns one instance; the server and LED hold references and
-    charge the innermost frames through the ``note_*`` hooks.
+    charge the innermost frames through the ``note_*`` hooks.  Given the
+    agent's ``metrics`` registry, a frame that closes with no other frame
+    open beneath it on its thread — a command frame, a hand-off's adopted
+    frame, a rule frame running alone on a listener thread — folds its
+    SQL counters into ``sql_statements_total``, ``sql_index_scans_total``
+    and ``sql_plan_cache_total{outcome}`` while stats are on.  A nested
+    frame never folds, so no statement is counted twice.
     """
 
     def __init__(self, enabled: bool = True, max_sessions: int = 1024,
-                 max_rules: int = 4096):
+                 max_rules: int = 4096, metrics=None):
         self.enabled = enabled
         self.max_sessions = max_sessions
         self.max_rules = max_rules
@@ -234,19 +242,41 @@ class OpAccounting:
         self._sessions: dict[object, SessionTotals] = {}
         self._rules: dict[str, RuleTotals] = {}
         #: always-on global tallies the health evaluator reads
-        self.ops_total = 0
         self.actions_total = 0
         self.action_errors_total = 0
+        self.metrics = metrics
+        if metrics is not None:
+            self._m_statements = metrics.counter(
+                "sql_statements_total",
+                "SQL statements executed by the engine")
+            self._m_index_scans = metrics.counter(
+                "sql_index_scans_total", "Index-backed scan narrowings")
+            self._m_plan_cache = metrics.counter(
+                "sql_plan_cache_total", "Plan cache lookups by outcome",
+                ("outcome",))
 
     # ------------------------------------------------------------------
     # frame stack
 
-    def _pop(self, frame: OpContext) -> None:
+    def _close(self, frame: OpContext) -> None:
+        """Pop ``frame``; the thread's outermost frame folds its SQL
+        counters into the registry (stats on)."""
         frames = self.ambient.state().frames
         if frames and frames[-1] is frame:
             frames.pop()
         elif frame in frames:  # pragma: no cover - unbalanced exit guard
             frames.remove(frame)
+        metrics = self.metrics
+        if frames or metrics is None or not metrics.enabled:
+            return
+        if frame.sql_statements:
+            self._m_statements.inc(frame.sql_statements)
+        if frame.index_scans:
+            self._m_index_scans.inc(frame.index_scans)
+        if frame.plan_cache_hits:
+            self._m_plan_cache.labels("hit").inc(frame.plan_cache_hits)
+        if frame.plan_cache_misses:
+            self._m_plan_cache.labels("miss").inc(frame.plan_cache_misses)
 
     def active(self) -> bool:
         """Whether any frame is open on this thread (hook fast-path)."""
@@ -256,12 +286,6 @@ class OpAccounting:
         """The innermost open frame on this thread, if any."""
         frames = self.ambient.state().frames
         return frames[-1] if frames else None
-
-    def in_rule(self) -> bool:
-        """Whether the innermost frames include a rule scope — i.e. the
-        current SQL statement is LED-generated per-occurrence SQL, not a
-        client batch (the plan cache's origin classification)."""
-        return any(frame.rule is not None for frame in self.ambient.state().frames)
 
     def origin(self) -> str:
         """Statement-origin classification with one frame-stack read:
@@ -299,10 +323,9 @@ class OpAccounting:
         """Close a command frame and fold it into its session's totals."""
         if frame is None:
             return
-        self._pop(frame)
+        self._close(frame)
         frame.seconds = seconds
         with self._lock:
-            self.ops_total += 1
             totals = self._sessions.get(frame.session_id)
             if totals is None:
                 if len(self._sessions) >= self.max_sessions:
@@ -424,6 +447,5 @@ class OpAccounting:
         with self._lock:
             self._sessions.clear()
             self._rules.clear()
-            self.ops_total = 0
             self.actions_total = 0
             self.action_errors_total = 0

@@ -57,20 +57,20 @@ def _hint_rows(hint, values, table, env, ctx):
     """Resolve a planned index hint against the *live* table; ``values``
     are the hint's value callables, called only when the index exists.
 
-    Returns ``(rows, kind)`` when the hinted index still exists —
+    Returns the candidate rows when the hinted index still exists —
     IN-list hints yield item-major candidate order (all rows of the
     first item, then the second, ...), which is observable in unsorted
-    output — or ``(None, None)`` when the hint is absent or stale (the
-    caller falls back to a full heap scan, so a dropped index only
-    costs speed).
+    output — or ``None`` when the hint is absent or stale (the caller
+    falls back to a full heap scan, so a dropped index only costs
+    speed).
     """
     if hint is None:
-        return None, None
+        return None
     table_index = table.index_on(hint.column)
     if table_index is None:
-        return None, None
+        return None
     if hint.kind == "eq":
-        return table_index.lookup(table, values[0](env, ctx)), hint.kind
+        return table_index.lookup(table, values[0](env, ctx))
     rows = []
     seen: set[int] = set()
     for value in values:
@@ -78,7 +78,18 @@ def _hint_rows(hint, values, table, env, ctx):
             if id(row) not in seen:
                 seen.add(id(row))
                 rows.append(row)
-    return rows, hint.kind
+    return rows
+
+
+def _scan_rows(server, hint, values, table, env, ctx) -> list:
+    """One scan's candidate rows — the live hint's narrowing, else the
+    whole heap — counted once through :meth:`SqlServer.note_scan`."""
+    rows = _hint_rows(hint, values, table, env, ctx)
+    indexed = rows is not None
+    if not indexed:
+        rows = list(table.rows)
+    server.note_scan(len(rows), indexed)
+    return rows
 
 
 def _passes(checks, env, ctx) -> bool:
@@ -100,21 +111,11 @@ def select_bindings(server, plan, lowered, sources, tables, env, ctx):
         # Single-scan fast path: no join, no residual — stream the
         # scan's candidates without the batching pipeline (and without
         # the per-row ordinal tags only join reordering needs).
-        accounting = server.accounting
-        track = accounting is not None and accounting.active()
         step = plan.steps[0]
         pushed, values, _join = lowered.steps[0]
         source = sources[step.position]
-        table = tables[step.position]
-        rows, kind = _hint_rows(step.hint, values, table, env, ctx)
-        if rows is None:
-            rows = list(table.rows)
-        if kind is not None:
-            server.note_index_scan(kind)
-        if track:
-            accounting.note_scan(len(rows), 1 if kind else 0,
-                                 0 if kind else 1)
-        _flush_counts(server, {"scan": len(rows)})
+        rows = _scan_rows(server, step.hint, values, tables[step.position],
+                          env, ctx)
         try:
             for row in rows:
                 source.row = row
@@ -139,25 +140,17 @@ def select_bindings(server, plan, lowered, sources, tables, env, ctx):
 def _relational(server, plan, lowered, sources, tables, env, ctx) -> list:
     """Run the scan/join/filter pipeline; returns surviving bindings
     sorted into FROM-order."""
-    counts: dict[str, int] = {}
     if plan.empty:
-        _flush_counts(server, counts)
         return []
-    accounting = server.accounting
-    track = accounting is not None and accounting.active()
-
     stream = iter([[((), ())]])
     bound: list[int] = []
     for step, lowered_step in zip(plan.steps, lowered.steps):
         stream = _apply_step(server, step, lowered_step, stream, sources,
-                             tables, env, ctx, list(bound), counts, track,
-                             accounting)
+                             tables, env, ctx, list(bound))
         bound.append(step.position)
     if plan.residual:
-        stream = _batched(
-            _residual_stage(plan, lowered.residual, stream, sources, env,
-                            ctx),
-            counts, "filter")
+        stream = _batched(_residual_stage(
+            plan, lowered.residual, stream, sources, env, ctx))
 
     bindings = [binding for batch in stream for binding in batch]
     if plan.reordered:
@@ -166,19 +159,11 @@ def _relational(server, plan, lowered, sources, tables, env, ctx) -> list:
         width = len(plan.order)
         bindings.sort(key=lambda binding: tuple(
             binding[0][inverse[i]] for i in range(width)))
-    _flush_counts(server, counts)
     return bindings
 
 
-def _flush_counts(server, counts: dict) -> None:
-    """Fold this execution's per-operator row counts into the metrics
-    registry (one labeled increment per operator, not per row)."""
-    if counts:
-        server.note_plan_ops(counts)
-
-
 def _apply_step(server, step, lowered_step, upstream, sources, tables, env,
-                ctx, bound, counts, track, accounting):
+                ctx, bound):
     """One pipeline stage: join the incoming bindings with one scan."""
     pushed, values, keys = lowered_step
     table = tables[step.position]
@@ -197,48 +182,33 @@ def _apply_step(server, step, lowered_step, upstream, sources, tables, env,
         else:
             strategy = "hash"
     if strategy == "probe":
-        joined = _probe_stage(server, step, pushed, keys[1], index,
-                              upstream, sources, table, env, ctx, bound,
-                              counts, track, accounting)
-        return _batched(joined, counts, "join")
+        return _batched(_probe_stage(server, step, pushed, keys[1], index,
+                                     upstream, sources, table, env, ctx,
+                                     bound))
     candidates = _scan_candidates(server, step, pushed, values, sources,
-                                  table, env, ctx, track, accounting,
-                                  counts)
+                                  table, env, ctx)
     if strategy == "hash":
-        joined = _hash_stage(step, keys, candidates, upstream, sources,
-                             env, ctx, bound)
-        return _batched(joined, counts, "join")
-    return _batched(_cross_stage(candidates, upstream), counts,
-                    "join" if bound else None)
+        return _batched(_hash_stage(step, keys, candidates, upstream,
+                                    sources, env, ctx, bound))
+    return _batched(_cross_stage(candidates, upstream))
 
 
-def _batched(bindings, counts, label):
-    """Chunk a stage's binding stream into :data:`BATCH_SIZE` lists,
-    charging each chunk's size to ``counts[label]`` (when labeled)."""
+def _batched(bindings):
+    """Chunk a stage's binding stream into :data:`BATCH_SIZE` lists."""
     while True:
         batch = list(islice(bindings, BATCH_SIZE))
         if not batch:
             return
-        if label:
-            counts[label] = counts.get(label, 0) + len(batch)
         yield batch
 
 
 def _scan_candidates(server, step, pushed, values, sources, table, env,
-                     ctx, track, accounting, counts) -> list:
+                     ctx) -> list:
     """The ``(ordinal, row)`` candidates of one scan: index-narrowed
     when the planned hint's index still exists, full heap order
     otherwise, then filtered by the pushed predicates."""
     source = sources[step.position]
-    rows, kind = _hint_rows(step.hint, values, table, env, ctx)
-    if rows is None:
-        rows = list(table.rows)
-    if kind is not None:
-        server.note_index_scan(kind)
-    if track:
-        accounting.note_scan(len(rows), 1 if kind else 0,
-                             0 if kind else 1)
-    counts["scan"] = counts.get("scan", 0) + len(rows)
+    rows = _scan_rows(server, step.hint, values, table, env, ctx)
     if not pushed:
         return list(enumerate(rows))
     out = []
@@ -283,23 +253,22 @@ def _hash_stage(step, keys, candidates, upstream, sources, env, ctx,
 
 
 def _probe_stage(server, step, pushed, outer_key, index, upstream,
-                 sources, table, env, ctx, bound, counts, track,
-                 accounting):
-    """Index probe: per outer binding, look up the inner bucket."""
+                 sources, table, env, ctx, bound):
+    """Index probe: per outer binding, look up the inner bucket (each
+    bucket's rows charged to the open accounting frames, if any)."""
     spec = step.join
     source = sources[step.position]
     outer_source = sources[spec.outer_position]
     outer_index = bound.index(spec.outer_position)
-    server.note_index_scan("join")
-    if track:
-        accounting.note_scan(0, 1, 0)
+    server.note_scan(0, True)
+    accounting = server.accounting
+    track = accounting is not None and accounting.active()
     for batch in upstream:
         for ordinals, rows in batch:
             outer_source.row = rows[outer_index]
             bucket = index.lookup(table, outer_key(env, ctx))
             if track:
                 accounting.note_rows(len(bucket))
-            counts["scan"] = counts.get("scan", 0) + len(bucket)
             for ordinal, row in enumerate(bucket):
                 if pushed:
                     source.row = row
@@ -330,9 +299,8 @@ def dml_candidates(server, plan, table, env, ctx):
     """
     hint = plan.hint
     values = [interpreted(expr) for expr in hint.exprs] if hint else ()
-    rows, kind = _hint_rows(hint, values, table, env, ctx)
+    rows = _hint_rows(hint, values, table, env, ctx)
     if rows is None:
-        return table.rows
-    server.note_index_scan(kind)
-    server.note_plan_ops({"scan": len(rows)})
+        rows = table.rows
+    server.note_scan(len(rows), rows is not table.rows)
     return rows

@@ -154,34 +154,19 @@ class Executor:
             raise ExecutionError(
                 f"no executor for statement {type(statement).__name__}"
             )
+        accounting = self.server.accounting
+        if accounting is not None:
+            accounting.note_statement()
         if type(statement) in _DDL_TYPES:
             # Bump in a finally so even a DDL that fails (or crashes via
             # fault injection) part-way invalidates every cached plan —
             # the catalog may have partially changed.
             try:
-                self._timed_execute(handler, statement, state)
+                handler(self, statement, state)
             finally:
                 self.server.catalog.bump_schema_epoch()
             return
-        self._timed_execute(handler, statement, state)
-
-    def _timed_execute(self, handler, statement: Statement,
-                       state: ExecutionState) -> None:
-        accounting = self.server.accounting
-        if accounting is not None and accounting.active():
-            accounting.note_statement()
-        metrics = self.server.metrics
-        if metrics is None or not metrics.enabled:
-            handler(self, statement, state)
-            return
-        kind = _statement_kind(type(statement))
-        start = _time.perf_counter()
-        try:
-            handler(self, statement, state)
-        finally:
-            self.server._m_statements.labels(kind).inc()
-            self.server._m_statement_seconds.labels(kind).observe(
-                _time.perf_counter() - start)
+        handler(self, statement, state)
 
     # ------------------------------------------------------------------
     # evaluation plumbing
@@ -308,8 +293,7 @@ class Executor:
         lowered, bindings = self._select_bindings(
             statement, sources, tables, table_keys, env, ctx)
 
-        grouped = planner.is_grouped(statement)
-        if grouped:
+        if planner.is_grouped(statement):
             result = self._run_grouped_select(
                 statement, env, ctx, lowered, bindings)
         else:
@@ -320,15 +304,6 @@ class Executor:
             result.rows = _distinct(result.rows)
         if statement.top is not None:
             result.rows = result.rows[: statement.top]
-
-        ops = {"project": len(result.rows)}
-        if grouped:
-            ops["aggregate"] = len(result.rows)
-        if statement.order_by:
-            ops["sort"] = len(result.rows)
-        if statement.top is not None:
-            ops["limit"] = len(result.rows)
-        self.server.note_plan_ops(ops)
 
         if statement.into is not None:
             self._materialize_into(
@@ -363,9 +338,7 @@ class Executor:
         cache = self.server.plan_cache
         plan = cache.get_plan(statement, epoch, table_keys)
         if plan is None:
-            start = _time.perf_counter()
             plan = build(epoch)
-            self.server.note_planner_time(_time.perf_counter() - start)
             cache.put_plan(statement, epoch, table_keys, plan)
         elif compile_plan is not None and plan.compiled is None:
             plan.compiled = compile_plan(plan)
@@ -751,15 +724,7 @@ class Executor:
             statement, table_keys,
             lambda epoch: planner.plan_dml(
                 statement, source, table, table_keys, env, epoch))
-        candidates = dagexec.dml_candidates(
-            self.server, plan, table, env, ctx)
-        accounting = self.server.accounting
-        if accounting is not None and accounting.active():
-            if candidates is table.rows:
-                accounting.note_scan(len(table.rows), 0, 1)
-            else:
-                accounting.note_scan(len(candidates), 1, 0)
-        return candidates
+        return dagexec.dml_candidates(self.server, plan, table, env, ctx)
 
     def _execute_truncate(self, statement: TruncateStatement,
                           state: ExecutionState) -> None:
@@ -1254,31 +1219,6 @@ _DDL_TYPES: frozenset[type] = frozenset({
     # counts as a catalog change for invalidation purposes.
     RollbackStatement,
 })
-
-
-#: AST class -> metrics label; irregular names pinned, the rest derived
-#: from the class name (``CreateTableStatement`` -> ``create_table``).
-_STATEMENT_KINDS: dict[type, str] = {
-    InsertValues: "insert",
-    InsertSelect: "insert",
-    AssignSelect: "select_assign",
-    UnionSelect: "select",
-    SelectStatement: "select",
-}
-
-
-def _statement_kind(statement_type: type) -> str:
-    kind = _STATEMENT_KINDS.get(statement_type)
-    if kind is None:
-        name = statement_type.__name__
-        if name.endswith("Statement"):
-            name = name[: -len("Statement")]
-        kind = "".join(
-            ("_" + char.lower()) if char.isupper() else char
-            for char in name
-        ).lstrip("_")
-        _STATEMENT_KINDS[statement_type] = kind
-    return kind
 
 
 def _column_name(item: SelectItem) -> str:

@@ -20,9 +20,9 @@ Correctness model:
   distinct batch text (e.g. literals inlined per row) cannot grow the
   cache without bound.
 
-The cache keeps its own plain-int counters (always on, race-tolerant)
-and can additionally report into a :class:`~repro.obs.MetricsRegistry`
-attached by the server.
+The cache keeps its own plain-int counters (always on, race-tolerant);
+the server charges each lookup's outcome to the open accounting frames,
+and that is all the engine reports.
 """
 
 from __future__ import annotations

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from .types import format_datetime
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultSet:
     """One tabular result: ordered column names and rows of Python values
-    (a SELECT's rows are tuples: one object per row to build and free)."""
+    (a SELECT's rows are tuples: one object per row to build and free).
+    Slotted, like :class:`BatchResult`: a reply is built and freed once
+    per client command, and no attribute dict is allocated for either."""
 
     columns: list[str]
     rows: list[tuple | list] = field(default_factory=list)
@@ -81,7 +83,7 @@ def _render(value: object) -> str:
     return str(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResult:
     """Everything returned for one executed batch.
 

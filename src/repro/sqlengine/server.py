@@ -122,19 +122,11 @@ class SqlServer:
         self.plan_cache = PlanCache()
         #: count of index-backed scan narrowings (eq/IN/join probes)
         self.index_scans = 0
-        #: optional metrics sink (attach_metrics); like the datagram sink,
-        #: an outward-facing hook that leaves the engine itself passive
-        self.metrics = None
-        self._m_statements = None
-        self._m_statement_seconds = None
-        self._m_plan_cache = None
-        self._m_plan_cache_origin = None
-        self._m_index_scans = None
-        self._m_plan_ops = None
-        self._m_planner_seconds = None
-        #: optional resource-accounting sink (attach_accounting); the
-        #: executor charges row scans and cache lookups to whatever
-        #: per-session/per-rule frames the agent has open
+        #: optional resource-accounting sink (attach_accounting) — the
+        #: engine's one observability seam; like the datagram sink, an
+        #: outward-facing hook that leaves the engine itself passive.
+        #: The executor charges statements, row scans and cache lookups
+        #: to whatever per-session/per-rule frames the agent has open.
         self.accounting = None
 
     # ------------------------------------------------------------------
@@ -144,77 +136,27 @@ class SqlServer:
         """Current time per the configured clock."""
         return self.clock()
 
-    def attach_metrics(self, registry) -> None:
-        """Attach (or detach, with ``None``) a metrics registry.
-
-        While attached and enabled, the executor reports statement counts
-        and latency by statement type (``sql_statements_total`` /
-        ``sql_statement_seconds``); otherwise the hook is one branch per
-        statement.
-        """
-        self.metrics = registry
-        if registry is None:
-            self._m_statements = None
-            self._m_statement_seconds = None
-            self._m_plan_cache = None
-            self._m_plan_cache_origin = None
-            self._m_index_scans = None
-            self._m_plan_ops = None
-            self._m_planner_seconds = None
-            return
-        self._m_statements = registry.counter(
-            "sql_statements_total",
-            "SQL statements executed by the engine", ("type",))
-        self._m_statement_seconds = registry.histogram(
-            "sql_statement_seconds",
-            "SQL statement execution latency (seconds)", ("type",))
-        self._m_plan_cache = registry.counter(
-            "sql_plan_cache_total",
-            "Plan cache lookups by outcome", ("outcome",))
-        self._m_plan_cache_origin = registry.counter(
-            "sql_plan_cache_origin_total",
-            "Plan cache lookups by statement origin and outcome",
-            ("origin", "outcome"))
-        self._m_index_scans = registry.counter(
-            "sql_index_scans_total",
-            "Index-backed scan narrowings by predicate kind", ("kind",))
-        self._m_plan_ops = registry.counter(
-            "sql_plan_operator_total",
-            "Rows produced by DAG plan operators", ("op",))
-        self._m_planner_seconds = registry.histogram(
-            "sql_planner_seconds",
-            "Time spent lowering and optimizing statement plans", ())
-
     def attach_accounting(self, accounting) -> None:
         """Attach (or detach, with ``None``) a resource-accounting plane.
 
-        While attached, the executor and plan cache charge rows scanned,
-        scan kinds, and cache outcomes to the ambient
+        While attached, the executor and plan cache charge statements,
+        rows scanned, scan kinds, and cache outcomes to the ambient
         :class:`~repro.obs.opcontext.OpContext` frames the agent opened;
-        detached, every hook is one ``None`` check.
+        detached, every hook is one ``None`` check.  Whatever the agent
+        reports about the engine — ``show agent top``, its metric
+        registry — it derives from those frames.
         """
         self.accounting = accounting
 
-    def note_index_scan(self, kind: str) -> None:
-        """Count one index-backed narrowing (plain counter + metrics);
-        ``kind`` is ``eq``, ``in`` or ``join``."""
-        self.index_scans += 1
-        if self._m_index_scans is not None:
-            self._m_index_scans.labels(kind).inc()
-
-    def note_plan_ops(self, counts: dict) -> None:
-        """Fold one execution's per-operator row counts into the
-        ``sql_plan_operator_total{op=...}`` counter (no-op unmetered)."""
-        if self._m_plan_ops is None or not counts:
-            return
-        for op, amount in counts.items():
-            if amount:
-                self._m_plan_ops.labels(op).inc(amount)
-
-    def note_planner_time(self, seconds: float) -> None:
-        """Record one fresh plan's lowering+optimization latency."""
-        if self._m_planner_seconds is not None:
-            self._m_planner_seconds.observe(seconds)
+    def note_scan(self, rows: int, indexed: bool) -> None:
+        """Count one scan of ``rows`` candidate rows: an index-backed
+        narrowing (eq/IN hint or join probe) bumps ``index_scans``, and
+        either kind is charged to the open accounting frames."""
+        if indexed:
+            self.index_scans += 1
+        accounting = self.accounting
+        if accounting is not None:
+            accounting.note_scan(rows, int(indexed), int(not indexed))
 
     def explain_text(self, sql: str, session) -> str | None:
         """Best-effort EXPLAIN of the first explainable statement in
@@ -237,15 +179,6 @@ class SqlServer:
         except Exception:
             return None
         return None
-
-    def _statement_origin(self) -> str:
-        """Classify the statement being parsed for cache accounting:
-        LED-generated per-occurrence ``rule`` SQL, a ``client`` batch
-        inside a gateway command, or agent-internal ``system`` SQL."""
-        accounting = self.accounting
-        if accounting is None:
-            return "system"
-        return accounting.origin()
 
     def set_datagram_sink(self, sink: DatagramSink | None) -> None:
         """Attach (or detach) the destination for ``syb_sendmsg`` output."""
@@ -332,13 +265,7 @@ class SqlServer:
         if origin != "system":
             accounting.note_plan_cache(statements is not None)
         if statements is not None:
-            if self._m_plan_cache is not None:
-                self._m_plan_cache.labels("hit").inc()
-                self._m_plan_cache_origin.labels(origin, "hit").inc()
             return statements
-        if self._m_plan_cache is not None:
-            self._m_plan_cache.labels("miss").inc()
-            self._m_plan_cache_origin.labels(origin, "miss").inc()
         statements = tuple(parse_batch(batch_text))
         # Only cache under an unchanged epoch: if parsing itself executed
         # nothing, the epoch cannot move, but guard anyway for safety.

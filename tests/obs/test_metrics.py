@@ -78,14 +78,6 @@ class TestCounterAndGauge:
         family.inc()
         assert family.value() == 2
 
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value() == 13
-
     def test_label_arity_checked(self):
         registry = MetricsRegistry()
         family = registry.counter("hits", "hits", ("kind",))
@@ -145,7 +137,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("hits")
         with pytest.raises(ValueError):
-            registry.gauge("hits")
+            registry.histogram("hits")
 
     def test_label_schema_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -156,13 +148,13 @@ class TestRegistry:
     def test_disabled_registry_mutators_are_no_ops(self):
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("hits")
-        gauge = registry.gauge("depth")
+        labeled = registry.counter("depth", "", ("kind",))
         histogram = registry.histogram("latency")
         counter.inc()
-        gauge.set(5)
+        labeled.labels("a").inc(5)
         histogram.observe(1.0)
         assert counter.value() == 0
-        assert gauge.value() == 0.0
+        assert labeled.labels("a").value() == 0
         assert histogram.summary().count == 0
 
     def test_enable_toggle_takes_effect_immediately(self):

@@ -69,3 +69,13 @@ def test_one_path_per_agent_side_span_site():
     outside = [hit for hit in _hits(SRC, r"(trace|journal)\.enabled")
                if not hit.startswith(("obs/", "agent/admin.py:"))]
     assert outside == []
+
+
+def test_engine_has_one_observability_seam():
+    """The SQL engine charges the accounting frame and nothing else: no
+    registry of its own, no per-family handles, no per-operator metric
+    plumbing.  The agent folds closed frames into its registry.  (The
+    engine used to have ``SqlServer.attach_metrics`` with seven ``_m_*``
+    families and ``note_plan_ops`` calls in three modules.)"""
+    assert _hits(SRC / "sqlengine", r"def attach_metrics\b|MetricsRegistry"
+                                    r"|\b_m_\w+|note_plan_ops") == []

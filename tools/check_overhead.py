@@ -7,8 +7,12 @@ provenance, with a telemetry exporter attached), the health plane alone
 (stats + accounting + the slow-op recorder armed at 0 ms, its worst
 case: every command is captured) and tracing alone (what a sampled
 command pays under ``trace next``).  Each observed stack's reading must
-stay under ``MAX_RATIO`` times the baseline's — catching any change that
-moves real work onto the instrumented hot path.
+stay under ``MAX_RATIO`` (1.35) times the baseline's — catching any
+change that moves real work onto the instrumented hot path.  The
+observability and health-plane stacks read about 1.27x since the SQL
+engine reports only through the accounting frame, which the agent folds
+into three counters per command; they read about 1.43x while the engine
+fed the registry on every statement, so that cost coming back fails.
 
 The stacks run round-robin, ``ROUNDS`` blocks of ``BLOCK`` inserts each,
 with the starting stack rotating every round, and a stack's reading is
@@ -51,7 +55,7 @@ INSERT = "insert stock values ('X', 1.0, 1)"
 TELEMETRY_PATH = REPO_ROOT / "BENCH_telemetry.jsonl"
 
 #: Ceiling for an observed stack's reading over the baseline's.
-MAX_RATIO = 1.5
+MAX_RATIO = 1.35
 ROUNDS = 20
 BLOCK = 10
 
