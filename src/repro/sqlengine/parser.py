@@ -15,6 +15,8 @@ as the body; the server layer splits scripts into batches on ``go`` lines.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from .errors import SqlParseError
 from .expressions import (
     Between,
@@ -76,7 +78,7 @@ from .statements import (
     WaitforStatement,
     WhileStatement,
 )
-from .tokenizer import EOF, IDENT, NUMBER, OP, STRING, VARIABLE, Token, tokenize
+from .tokenizer import EOF, IDENT, NUMBER, STRING, VARIABLE, Token, tokenize
 from .types import SqlType
 
 #: Words that may never be parsed as a table alias or bare identifier
@@ -92,7 +94,9 @@ RESERVED = frozenset(
     """.split()
 )
 
-_COMPARISON_OPS = {"=", "==", "<>", "!=", "<", "<=", ">", ">="}
+#: Comparison operator token -> the operator the AST records.
+_COMPARISON_OPS = {"=": "=", "==": "=", "<>": "<>", "!=": "<>", "<": "<",
+                   "<=": "<=", ">": ">", ">=": ">="}
 
 
 class _Parser:
@@ -111,8 +115,10 @@ class _Parser:
         return self.tokens[self.pos]
 
     def peek(self, ahead: int = 1) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:
+            return self.tokens[-1]  # EOF
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -120,44 +126,43 @@ class _Parser:
             self.pos += 1
         return token
 
+    # A keyword and an operator are both one compare of ``Token.word``:
+    # callers pass keywords in lower case, and no keyword is an operator.
+
     def at_keyword(self, *words: str) -> bool:
-        token = self.current
-        return token.kind == IDENT and token.upper in {w.upper() for w in words}
+        return self.tokens[self.pos].word in words
 
     def accept_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.advance()
+        if self.tokens[self.pos].word in words:
+            self.pos += 1
             return True
         return False
+
+    at_op = at_keyword
+    accept_op = accept_keyword
 
     def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
+        token = self.tokens[self.pos]
+        if token.word != word:
             self.fail(f"expected keyword {word.upper()}")
-        return self.advance()
-
-    def at_op(self, op: str) -> bool:
-        token = self.current
-        return token.kind == OP and token.value == op
-
-    def accept_op(self, op: str) -> bool:
-        if self.at_op(op):
-            self.advance()
-            return True
-        return False
+        self.pos += 1
+        return token
 
     def expect_op(self, op: str) -> Token:
-        if not self.at_op(op):
+        token = self.tokens[self.pos]
+        if token.word != op:
             self.fail(f"expected '{op}'")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind != IDENT:
             self.fail(f"expected {what}")
-        self.advance()
+        self.pos += 1
         return str(token.value)
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         token = self.current
         found = "end of input" if token.kind == EOF else repr(token.value)
         raise SqlParseError(f"{message}, found {found}", token.line, token.column)
@@ -172,11 +177,8 @@ class _Parser:
                 pass
             if self.current.kind == EOF:
                 break
-            if self.at_keyword("create") and self.peek().kind == IDENT and self.peek().upper in (
-                "PROC",
-                "PROCEDURE",
-                "TRIGGER",
-            ):
+            if self.at_keyword("create") and self.peek().word in (
+                    "proc", "procedure", "trigger"):
                 if statements:
                     self.fail(
                         "CREATE PROCEDURE/TRIGGER must be the first statement "
@@ -190,57 +192,42 @@ class _Parser:
         return statements
 
     def parse_statement(self) -> Statement:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind != IDENT:
             self.fail("expected a statement")
-        word = token.upper
-        handler = {
-            "SELECT": self.parse_select_entry,
-            "INSERT": self.parse_insert,
-            "UPDATE": self.parse_update,
-            "DELETE": self.parse_delete,
-            "CREATE": self.parse_create,
-            "DROP": self.parse_drop,
-            "ALTER": self.parse_alter,
-            "EXEC": self.parse_execute,
-            "EXECUTE": self.parse_execute,
-            "PRINT": self.parse_print,
-            "USE": self.parse_use,
-            "TRUNCATE": self.parse_truncate,
-            "DECLARE": self.parse_declare,
-            "SET": self.parse_set,
-            "IF": self.parse_if,
-            "WHILE": self.parse_while,
-            "BEGIN": self.parse_begin,
-            "COMMIT": self.parse_commit,
-            "ROLLBACK": self.parse_rollback,
-            "RETURN": self.parse_return,
-            "WAITFOR": self.parse_waitfor,
-            "EXPLAIN": self.parse_explain,
-        }.get(word)
+        handler = _STATEMENTS.get(token.word)
         if handler is None:
-            self.fail(f"unknown statement start {word!r}")
-        assert handler is not None
-        return handler()
+            self.fail(f"unknown statement start {str(token.value).upper()!r}")
+        return handler(self)
 
     # ------------------------------------------------------------------
     # names
 
+    def _dotted_name(self) -> tuple[str, ...]:
+        """``name(.name)*`` from the current token, an IDENT, on."""
+        tokens = self.tokens
+        pos = self.pos
+        parts = [tokens[pos].value]
+        while tokens[pos + 1].word == "." and tokens[pos + 2].kind == IDENT:
+            pos += 2
+            parts.append(tokens[pos].value)
+        self.pos = pos + 1
+        return tuple(parts)  # type: ignore[arg-type]  # IDENT values are str
+
     def parse_qualified_name(self) -> QualifiedName:
-        parts = [self.expect_ident("object name")]
-        while self.at_op(".") and self.peek().kind == IDENT:
-            self.advance()
-            parts.append(self.expect_ident())
+        if self.current.kind != IDENT:
+            self.fail("expected object name")
+        parts = self._dotted_name()
         if len(parts) > 3:
             self.fail("object names have at most 3 parts (db.owner.name)")
-        return QualifiedName(tuple(parts))
+        return QualifiedName(parts)
 
     def _maybe_alias(self) -> str | None:
         if self.accept_keyword("as"):
             return self.expect_ident("alias")
         token = self.current
-        if token.kind == IDENT and token.upper.lower() not in RESERVED:
-            self.advance()
+        if token.kind == IDENT and token.word not in RESERVED:
+            self.pos += 1
             return str(token.value)
         return None
 
@@ -251,7 +238,7 @@ class _Parser:
         """SELECT that may be a query, a union chain, or an assignment."""
         checkpoint = self.pos
         self.expect_keyword("select")
-        if self.current.kind == VARIABLE and self.peek().kind == OP and self.peek().value == "=":
+        if self.current.kind == VARIABLE and self.peek().word == "=":
             return self.parse_assign_select()
         self.pos = checkpoint
         return self.parse_select_or_union()
@@ -370,14 +357,13 @@ class _Parser:
                 else:
                     expr = self.parse_expression()
                     alias = None
-                    if self.accept_keyword("as"):
+                    token = self.tokens[self.pos]
+                    if token.word == "as":
+                        self.pos += 1
                         alias = self.expect_ident("column alias")
-                    elif (
-                        self.current.kind == IDENT
-                        and self.current.upper.lower() not in RESERVED
-                    ):
+                    elif token.kind == IDENT and token.word not in RESERVED:
                         alias = self.expect_ident()
-                    elif self.current.kind == STRING:
+                    elif token.kind == STRING:
                         alias = str(self.advance().value)
                     items.append(SelectItem(expr, alias))
             if not self.accept_op(","):
@@ -386,20 +372,13 @@ class _Parser:
 
     def _try_qualified_star(self) -> Star | None:
         """Parse ``name(.name)*.*`` if present, else restore and return None."""
-        if self.current.kind != IDENT:
+        if self.current.kind != IDENT or self.peek().word != ".":
             return None
         checkpoint = self.pos
-        parts = [self.expect_ident()]
-        while self.at_op("."):
-            if self.peek().kind == OP and self.peek().value == "*":
-                self.advance()  # '.'
-                self.advance()  # '*'
-                return Star(tuple(parts))
-            if self.peek().kind == IDENT:
-                self.advance()
-                parts.append(self.expect_ident())
-            else:
-                break
+        parts = self._dotted_name()
+        if self.current.word == "." and self.peek().word == "*":
+            self.pos += 2
+            return Star(parts)
         self.pos = checkpoint
         return None
 
@@ -460,7 +439,6 @@ class _Parser:
             select = self.parse_select_or_union()
             return InsertSelect(table, select, columns)
         self.fail("expected VALUES or SELECT in INSERT")
-        raise AssertionError  # unreachable
 
     def parse_update(self) -> UpdateStatement:
         self.expect_keyword("update")
@@ -518,7 +496,7 @@ class _Parser:
                 name, select,
                 ("create " + self.text[start_offset:end_offset]).strip())
         unique = False
-        if self.at_keyword("unique") and self.peek().upper == "INDEX":
+        if self.at_keyword("unique") and self.peek().word == "index":
             self.advance()
             unique = True
         if self.accept_keyword("index"):
@@ -532,7 +510,6 @@ class _Parser:
         self.fail(
             "expected TABLE, DATABASE, VIEW, INDEX, PROC or TRIGGER "
             "after CREATE")
-        raise AssertionError  # unreachable
 
     def parse_column_def(self) -> ColumnDef:
         name = self.expect_ident("column name")
@@ -582,7 +559,6 @@ class _Parser:
         self.fail(
             "expected TABLE, VIEW, INDEX, PROC, TRIGGER or DATABASE "
             "after DROP")
-        raise AssertionError  # unreachable
 
     def parse_alter(self) -> AlterTableAddStatement:
         self.expect_keyword("alter")
@@ -645,7 +621,6 @@ class _Parser:
                 self.text[start_offset:].strip(),
             )
         self.fail("expected PROC or TRIGGER")
-        raise AssertionError  # unreachable
 
     def _parse_trigger_op(self) -> str:
         word = self.expect_ident("trigger operation").lower()
@@ -670,7 +645,7 @@ class _Parser:
         named: list[tuple[str, Expression]] = []
         if self._at_argument_start():
             while True:
-                if self.current.kind == VARIABLE and self.peek().kind == OP and self.peek().value == "=":
+                if self.current.kind == VARIABLE and self.peek().word == "=":
                     param = str(self.advance().value)
                     self.advance()  # '='
                     named.append((param, self.parse_expression()))
@@ -684,11 +659,10 @@ class _Parser:
         token = self.current
         if token.kind in (NUMBER, STRING, VARIABLE):
             return True
-        if token.kind == OP and token.value in ("-", "("):
+        if token.word in ("-", "("):
             return True
-        if token.kind == IDENT and token.upper.lower() not in RESERVED:
-            return True
-        if token.kind == IDENT and token.upper == "NULL":
+        if token.kind == IDENT and (
+                token.word not in RESERVED or token.word == "null"):
             return True
         return False
 
@@ -762,8 +736,7 @@ class _Parser:
         return (self.parse_statement(),)
 
     def _begin_is_transaction(self) -> bool:
-        nxt = self.peek()
-        return nxt.kind == IDENT and nxt.upper in ("TRAN", "TRANSACTION")
+        return self.peek().word in ("tran", "transaction")
 
     def parse_begin(self) -> Statement:
         if self._begin_is_transaction():
@@ -829,7 +802,7 @@ class _Parser:
         self.expect_keyword("return")
         token = self.current
         if token.kind in (NUMBER, STRING, VARIABLE) or (
-            token.kind == OP and token.value in ("-", "(")
+            token.word in ("-", "(")
         ):
             return ReturnStatement(self.parse_expression())
         return ReturnStatement(None)
@@ -838,80 +811,66 @@ class _Parser:
     # expressions (precedence climbing)
 
     def parse_expression(self) -> Expression:
-        return self.parse_or()
-
-    def parse_or(self) -> Expression:
+        """OR binds loosest: ``a OR b``, then AND, then prefix NOT."""
         left = self.parse_and()
-        while self.accept_keyword("or"):
+        while self.tokens[self.pos].word == "or":
+            self.pos += 1
             left = BinaryOp("OR", left, self.parse_and())
         return left
 
     def parse_and(self) -> Expression:
         left = self.parse_not()
-        while self.accept_keyword("and"):
+        while self.tokens[self.pos].word == "and":
+            self.pos += 1
             left = BinaryOp("AND", left, self.parse_not())
         return left
 
     def parse_not(self) -> Expression:
-        if self.at_keyword("not") and not self._not_is_postfix():
-            self.advance()
+        # NOT LIKE / NOT IN / NOT BETWEEN are handled inside comparison.
+        if self.tokens[self.pos].word == "not":
+            self.pos += 1
             return UnaryOp("NOT", self.parse_not())
         return self.parse_comparison()
-
-    def _not_is_postfix(self) -> bool:
-        # NOT LIKE / NOT IN / NOT BETWEEN are handled inside comparison.
-        return False
 
     def parse_comparison(self) -> Expression:
         left = self.parse_additive()
         while True:
-            token = self.current
-            if token.kind == OP and token.value in _COMPARISON_OPS:
-                op = str(self.advance().value)
-                if op in ("==",):
-                    op = "="
-                if op == "!=":
-                    op = "<>"
+            word = self.tokens[self.pos].word
+            if word in _COMPARISON_OPS:
+                self.pos += 1
+                op = _COMPARISON_OPS[word]
                 left = BinaryOp(op, left, self.parse_additive())
-                continue
-            if self.at_keyword("like"):
-                self.advance()
+            elif word == "like":
+                self.pos += 1
                 left = BinaryOp("LIKE", left, self.parse_additive())
-                continue
-            if self.at_keyword("is"):
-                self.advance()
+            elif word == "is":
+                self.pos += 1
                 negated = bool(self.accept_keyword("not"))
                 self.expect_keyword("null")
                 left = IsNull(left, negated)
-                continue
-            if self.at_keyword("between"):
-                self.advance()
-                low = self.parse_additive()
-                self.expect_keyword("and")
-                high = self.parse_additive()
-                left = Between(left, low, high, negated=False)
-                continue
-            if self.at_keyword("in"):
-                self.advance()
+            elif word == "between":
+                self.pos += 1
+                left = self._parse_between_tail(left, negated=False)
+            elif word == "in":
+                self.pos += 1
                 left = self._parse_in_tail(left, negated=False)
-                continue
-            if self.at_keyword("not"):
-                nxt = self.peek()
-                if nxt.kind == IDENT and nxt.upper in ("LIKE", "IN", "BETWEEN"):
-                    self.advance()  # NOT
-                    if self.accept_keyword("like"):
-                        left = BinaryOp("NOT LIKE", left, self.parse_additive())
-                    elif self.accept_keyword("between"):
-                        low = self.parse_additive()
-                        self.expect_keyword("and")
-                        high = self.parse_additive()
-                        left = Between(left, low, high, negated=True)
-                    else:
-                        self.expect_keyword("in")
-                        left = self._parse_in_tail(left, negated=True)
-                    continue
-            break
-        return left
+            elif word == "not" and self.peek().word in ("like", "in", "between"):
+                self.pos += 1  # NOT
+                if self.accept_keyword("like"):
+                    left = BinaryOp("NOT LIKE", left, self.parse_additive())
+                elif self.accept_keyword("between"):
+                    left = self._parse_between_tail(left, negated=True)
+                else:
+                    self.expect_keyword("in")
+                    left = self._parse_in_tail(left, negated=True)
+            else:
+                return left
+
+    def _parse_between_tail(self, operand: Expression,
+                            negated: bool) -> Expression:
+        low = self.parse_additive()
+        self.expect_keyword("and")
+        return Between(operand, low, self.parse_additive(), negated=negated)
 
     def _parse_in_tail(self, operand: Expression, negated: bool) -> Expression:
         self.expect_op("(")
@@ -925,56 +884,39 @@ class _Parser:
 
     def parse_additive(self) -> Expression:
         left = self.parse_multiplicative()
-        while True:
-            if self.at_op("+"):
-                self.advance()
-                left = BinaryOp("+", left, self.parse_multiplicative())
-            elif self.at_op("-"):
-                self.advance()
-                left = BinaryOp("-", left, self.parse_multiplicative())
-            else:
-                break
+        while (op := self.tokens[self.pos].word) in ("+", "-"):
+            self.pos += 1
+            left = BinaryOp(op, left, self.parse_multiplicative())
         return left
 
     def parse_multiplicative(self) -> Expression:
         left = self.parse_unary()
-        while True:
-            if self.at_op("*"):
-                self.advance()
-                left = BinaryOp("*", left, self.parse_unary())
-            elif self.at_op("/"):
-                self.advance()
-                left = BinaryOp("/", left, self.parse_unary())
-            elif self.at_op("%"):
-                self.advance()
-                left = BinaryOp("%", left, self.parse_unary())
-            else:
-                break
+        while (op := self.tokens[self.pos].word) in ("*", "/", "%"):
+            self.pos += 1
+            left = BinaryOp(op, left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Expression:
-        if self.at_op("-"):
-            self.advance()
+        op = self.tokens[self.pos].word
+        if op == "-":
+            self.pos += 1
             return UnaryOp("-", self.parse_unary())
-        if self.at_op("+"):
-            self.advance()
+        if op == "+":
+            self.pos += 1
             return self.parse_unary()
         return self.parse_primary()
 
     def parse_primary(self) -> Expression:
-        token = self.current
-
-        if token.kind == NUMBER:
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == NUMBER or kind == STRING:
+            self.pos += 1
             return Literal(token.value)
-        if token.kind == STRING:
-            self.advance()
-            return Literal(token.value)
-        if token.kind == VARIABLE:
-            self.advance()
+        if kind == VARIABLE:
+            self.pos += 1
             return VariableRef(str(token.value))
 
-        if token.kind == OP and token.value == "(":
+        if token.word == "(":
             self.advance()
             if self.at_keyword("select"):
                 subquery = self.parse_select_or_union()
@@ -984,26 +926,26 @@ class _Parser:
             self.expect_op(")")
             return expr
 
-        if token.kind == IDENT:
-            upper = token.upper
-            if upper == "CASE":
+        if kind == IDENT:
+            word = token.word
+            if word == "case":
                 return self.parse_case()
-            if upper == "NULL":
-                self.advance()
+            if word == "null":
+                self.pos += 1
                 return Literal(None)
-            if upper == "EXISTS":
-                self.advance()
+            if word == "exists":
+                self.pos += 1
                 self.expect_op("(")
                 subquery = self.parse_select_or_union()
                 self.expect_op(")")
                 return Exists(subquery)
-            if upper == "NOT":
-                self.advance()
+            if word == "not":
+                self.pos += 1
                 return UnaryOp("NOT", self.parse_primary())
-            if upper.lower() in RESERVED:
+            if word in RESERVED:
                 self.fail("expected an expression")
             # function call?
-            if self.peek().kind == OP and self.peek().value == "(":
+            if self.peek().word == "(":
                 name = self.expect_ident().lower()
                 self.expect_op("(")
                 if self.accept_op("*"):
@@ -1015,15 +957,9 @@ class _Parser:
                 args = tuple(self.parse_expression_list())
                 self.expect_op(")")
                 return FunctionCall(name, args, distinct=distinct)
-            # column reference (possibly qualified)
-            parts = [self.expect_ident()]
-            while self.at_op(".") and self.peek().kind == IDENT:
-                self.advance()
-                parts.append(self.expect_ident())
-            return ColumnRef(tuple(parts))
+            return ColumnRef(self._dotted_name())  # possibly qualified
 
         self.fail("expected an expression")
-        raise AssertionError  # unreachable
 
     def parse_case(self) -> CaseExpr:
         """``CASE [operand] WHEN ... THEN ... [ELSE ...] END``."""
@@ -1043,6 +979,33 @@ class _Parser:
             default = self.parse_expression()
         self.expect_keyword("end")
         return CaseExpr(tuple(whens), operand, default)
+
+
+#: Statement-starting keyword -> the production that parses the statement.
+_STATEMENTS = {
+    "select": _Parser.parse_select_entry,
+    "insert": _Parser.parse_insert,
+    "update": _Parser.parse_update,
+    "delete": _Parser.parse_delete,
+    "create": _Parser.parse_create,
+    "drop": _Parser.parse_drop,
+    "alter": _Parser.parse_alter,
+    "exec": _Parser.parse_execute,
+    "execute": _Parser.parse_execute,
+    "print": _Parser.parse_print,
+    "use": _Parser.parse_use,
+    "truncate": _Parser.parse_truncate,
+    "declare": _Parser.parse_declare,
+    "set": _Parser.parse_set,
+    "if": _Parser.parse_if,
+    "while": _Parser.parse_while,
+    "begin": _Parser.parse_begin,
+    "commit": _Parser.parse_commit,
+    "rollback": _Parser.parse_rollback,
+    "return": _Parser.parse_return,
+    "waitfor": _Parser.parse_waitfor,
+    "explain": _Parser.parse_explain,
+}
 
 
 def parse_batch(text: str) -> list[Statement]:

@@ -1,14 +1,25 @@
 """Tokenizer for the engine's T-SQL-like dialect.
 
-Produces a flat list of :class:`Token`.  Handles ``--`` and ``/* */``
-comments, single- and double-quoted string literals (Sybase treats both as
-strings by default), numbers, ``@local`` variables, and multi-character
-operators.
+One compiled pattern, :data:`_TOKEN`, does all the lexing.  Each match
+absorbs the blanks (space, tab, CR, LF) before one lexeme, and
+``m.lastindex``, the number of the alternative that matched, says what
+the lexeme is: a ``--`` or non-nesting ``/* */`` comment (skipped), an
+identifier, a number, a string (Sybase treats ``'...'`` and ``"..."``
+alike; a doubled quote stands for itself), an operator, an
+``@variable``, a ``[bracket quoted]`` identifier, the end of the text,
+or a character that starts no lexeme (an error).  Digits are Unicode
+decimal digits, the ones ``int`` and ``float`` accept.
+
+A :class:`Token` carries its ``kind``, its ``value`` (the text, the
+number, or the unquoted string), the 1-based ``line`` and ``column`` and
+the character ``offset`` of its first character, and ``word``, the text
+the parser compares: for an IDENT its keyword form (``value.upper()``
+lower-cased when that is ASCII), for an OP the operator, else ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import SqlParseError
 
@@ -20,173 +31,90 @@ STRING = "STRING"
 OP = "OP"             # operators and punctuation
 EOF = "EOF"
 
-_TWO_CHAR_OPS = {"<>", "!=", "<=", ">=", "==", "*="}
-_ONE_CHAR_OPS = set("+-*/%(),.=<>;")
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (--[^\n]*|/\*(?:.*?\*/)?)          # comment; a bare /* is unterminated
+  | ([A-Za-z_\#][\w\#$]*)               # identifier (#temp names, embedded $)
+  | (\d+)(?![.\d]|[eE][+-]?\d)          # integer
+  | (\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)  # 1.5, .5, 1e3
+  | ('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))  # string
+  | (<>|!=|<=|>=|==|\*=|[-+*/%(),.=<>;])  # operator or punctuation
+  | (@[\w@\#$]+)                        # @local or @@global variable
+  | (\[[^\]]*\])                        # [bracket quoted] identifier
+  | ([^\W\d][\w\#$]*)                   # non-ASCII start: must be a letter
+  | (\Z)                                # end of the text
+  | (.))                                # starts no lexeme""", re.VERBOSE | re.DOTALL)
+(_COMMENT, _IDENT, _INT, _FLOAT, _STRING, _OP, _VARIABLE, _BRACKET,
+ _UNICODE_IDENT, _END, _BAD) = range(1, 12)
+
+_ERRORS = {"'": "unterminated string literal", '"': "unterminated string literal",
+           "[": "unterminated [identifier]", "@": "lone '@' is not a valid token"}
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token with its source position (1-based)."""
 
-    kind: str
-    value: object
-    line: int
-    column: int
-    offset: int = 0  # character offset of the token start in the batch text
+    __slots__ = ("kind", "value", "line", "column", "offset", "word")
 
-    @property
-    def upper(self) -> str:
-        """Uppercased text for keyword comparison (IDENT/OP only)."""
-        return str(self.value).upper()
+    def __init__(self, kind: str, value: object, line: int, column: int,
+                 offset: int = 0, word: str | None = None):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
+        self.offset = offset  # character offset of the token start
+        self.word = word
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token({self.kind}, {self.value!r}@{self.line}:{self.column})"
 
 
+def _keyword(name: str) -> str:
+    upper = name.upper()
+    return upper.lower() if upper.isascii() else upper
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize a SQL batch; raises :class:`SqlParseError` on bad input."""
     tokens: list[Token] = []
-    index = 0
-    line = 1
-    line_start = 0
-    length = len(text)
-
-    def position() -> tuple[int, int]:
-        return line, index - line_start + 1
-
-    while index < length:
-        char = text[index]
-
-        if char == "\n":
-            line += 1
-            index += 1
-            line_start = index
-            continue
-        if char in " \t\r":
-            index += 1
-            continue
-
-        # -- line comment
-        if char == "-" and text.startswith("--", index):
-            while index < length and text[index] != "\n":
-                index += 1
-            continue
-
-        # /* block comment */ (non-nesting, like Sybase)
-        if char == "/" and text.startswith("/*", index):
-            end = text.find("*/", index + 2)
-            if end == -1:
-                raise SqlParseError("unterminated comment", *position())
-            segment = text[index : end + 2]
-            newlines = segment.count("\n")
-            if newlines:
-                line += newlines
-                line_start = index + segment.rfind("\n") + 1
-            index = end + 2
-            continue
-
-        # string literals: '...' or "..." with doubled-quote escaping
-        if char in ("'", '"'):
-            tok_line, tok_col = position()
-            tok_offset = index
-            quote = char
-            index += 1
-            pieces: list[str] = []
-            while True:
-                if index >= length:
-                    raise SqlParseError("unterminated string literal", tok_line, tok_col)
-                current = text[index]
-                if current == quote:
-                    if index + 1 < length and text[index + 1] == quote:
-                        pieces.append(quote)
-                        index += 2
-                        continue
-                    index += 1
-                    break
-                if current == "\n":
-                    line += 1
-                    line_start = index + 1
-                pieces.append(current)
-                index += 1
-            tokens.append(Token(STRING, "".join(pieces), tok_line, tok_col, tok_offset))
-            continue
-
-        # numbers: 123, 1.5, .5, 1e3
-        if char.isdigit() or (char == "." and index + 1 < length and text[index + 1].isdigit()):
-            tok_line, tok_col = position()
-            start = index
-            has_dot = False
-            has_exp = False
-            while index < length:
-                current = text[index]
-                if current.isdigit():
-                    index += 1
-                elif current == "." and not has_dot and not has_exp:
-                    has_dot = True
-                    index += 1
-                elif current in "eE" and not has_exp and index > start:
-                    nxt = text[index + 1] if index + 1 < length else ""
-                    if nxt.isdigit() or (
-                        nxt in "+-" and index + 2 < length and text[index + 2].isdigit()
-                    ):
-                        has_exp = True
-                        index += 2 if nxt in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            literal = text[start:index]
-            value: object
-            if has_dot or has_exp:
-                value = float(literal)
-            else:
-                value = int(literal)
-            tokens.append(Token(NUMBER, value, tok_line, tok_col, start))
-            continue
-
-        # @variables
-        if char == "@":
-            tok_line, tok_col = position()
-            start = index
-            index += 1
-            while index < length and (text[index].isalnum() or text[index] in "_@#$"):
-                index += 1
-            if index == start + 1:
-                raise SqlParseError("lone '@' is not a valid token", tok_line, tok_col)
-            tokens.append(Token(VARIABLE, text[start:index], tok_line, tok_col, start))
-            continue
-
-        # identifiers / keywords (allow #temp names and embedded $)
-        if char.isalpha() or char in "_#[":
-            tok_line, tok_col = position()
-            if char == "[":
-                # bracket-quoted identifier
-                end = text.find("]", index + 1)
-                if end == -1:
-                    raise SqlParseError("unterminated [identifier]", tok_line, tok_col)
-                tokens.append(Token(IDENT, text[index + 1 : end], tok_line, tok_col, index))
-                index = end + 1
-                continue
-            start = index
-            while index < length and (text[index].isalnum() or text[index] in "_#$"):
-                index += 1
-            tokens.append(Token(IDENT, text[start:index], tok_line, tok_col, start))
-            continue
-
-        # operators / punctuation
-        two = text[index : index + 2]
-        if two in _TWO_CHAR_OPS:
-            tok_line, tok_col = position()
-            tokens.append(Token(OP, two, tok_line, tok_col, index))
-            index += 2
-            continue
-        if char in _ONE_CHAR_OPS:
-            tok_line, tok_col = position()
-            tokens.append(Token(OP, char, tok_line, tok_col, index))
-            index += 1
-            continue
-
-        raise SqlParseError(f"unexpected character {char!r}", *position())
-
-    tokens.append(Token(EOF, None, line, index - line_start + 1, index))
-    return tokens
+    append = tokens.append
+    end = len(text)
+    line, line_start = 1, 0
+    newline = text.find("\n") % (end + 1)  # past the end when there is none
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        start = m.start(group)
+        while start > newline:
+            line, line_start = line + 1, newline + 1
+            newline = text.find("\n", line_start) % (end + 1)
+        value = m[group]
+        column = start - line_start + 1
+        if group == _IDENT:
+            word = value.lower() if value.isascii() else _keyword(value)
+            append(Token(IDENT, value, line, column, start, word))
+        elif group == _OP:
+            append(Token(OP, value, line, column, start, value))
+        elif group == _INT:
+            append(Token(NUMBER, int(value), line, column, start))
+        elif group == _STRING:
+            q = value[0]  # the quote, doubled inside to stand for itself
+            append(Token(STRING, value[1:-1].replace(q + q, q), line, column, start))
+        elif group == _VARIABLE:
+            append(Token(VARIABLE, value, line, column, start))
+        elif group == _FLOAT:
+            append(Token(NUMBER, float(value), line, column, start))
+        elif group == _COMMENT:
+            if value == "/*":
+                raise SqlParseError("unterminated comment", line, column)
+        elif group == _BRACKET:
+            name = value[1:-1]
+            append(Token(IDENT, name, line, column, start, _keyword(name)))
+        elif group == _UNICODE_IDENT and value[0].isalpha():
+            append(Token(IDENT, value, line, column, start, _keyword(value)))
+        elif group == _END:
+            append(Token(EOF, None, line, column, start))
+            return tokens
+        else:
+            char = value[0]
+            raise SqlParseError(
+                _ERRORS.get(char, f"unexpected character {char!r}"), line, column)
+    raise AssertionError("unreachable: _TOKEN always matches the end")

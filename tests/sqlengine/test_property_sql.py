@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.sqlengine import SqlServer, connect
+from repro.sqlengine.errors import SqlParseError
 from repro.sqlengine.evaluator import _like_match
+from repro.sqlengine.tokenizer import EOF, IDENT, OP, VARIABLE, tokenize
 from repro.sqlengine.types import SqlType, sql_repr
 
 _slow = settings(
@@ -138,3 +140,45 @@ class TestScalarInvariants:
     def test_like_underscore_arity(self, text):
         assert _like_match(text, "_" * len(text))
         assert not _like_match(text, "_" * (len(text) + 1))
+
+
+#: Pieces of SQL text, so generated inputs reach every lexeme and error
+#: path: keywords, quotes, comment openers, brackets, numbers, operators,
+#: Unicode letters, and digits that are and are not decimal.
+_FRAGMENTS = [
+    "select", "x", "_t", "#tmp", "$", "@", "@@", " ", "\t", "\r", "\n",
+    "'", "''", '"', "[", "]", "--", "/*", "*/", "1", "2.5", ".", "e", "E",
+    "+", "-", "*", "/", "%", "=", "<", ">", "!", "(", ")", ",", ";", "\\",
+    "?", "²", "³", "½", "٣", "é", "ſ", "\x0b", "\u00a0",
+]
+sql_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=20).map("".join),
+)
+
+
+class TestTokenizerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=sql_texts)
+    def test_tokens_or_parse_error_only(self, text):
+        try:
+            tokens = tokenize(text)
+        except SqlParseError:
+            return
+        assert tokens[-1].kind == EOF
+        assert all(token.kind != EOF for token in tokens[:-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=sql_texts)
+    def test_tokens_point_into_the_text(self, text):
+        try:
+            tokens = tokenize(text)
+        except SqlParseError:
+            return
+        for token in tokens:
+            offset = token.offset
+            line_start = text.rfind("\n", 0, offset) + 1
+            assert token.line == text.count("\n", 0, offset) + 1
+            assert token.column == offset - line_start + 1
+            if token.kind in (IDENT, VARIABLE, OP) and text[offset] != "[":
+                assert text.startswith(token.value, offset)

@@ -128,3 +128,51 @@ class TestPositions:
         with pytest.raises(SqlParseError) as excinfo:
             tokenize("select !")
         assert "unexpected character" in str(excinfo.value)
+
+
+class TestNonDecimalDigits:
+    """``str.isdigit`` accepts superscripts and other digits that ``int``
+    and ``float`` reject; only decimal digits start a number."""
+
+    @pytest.mark.parametrize("text, char, column", [
+        ("select ²", "²", 8),
+        ("select 1²", "²", 9),
+        ("select 1 where 1 = ³", "³", 20),
+        ("select ¹.5", "¹", 8),
+    ])
+    def test_is_an_unexpected_character(self, text, char, column):
+        with pytest.raises(SqlParseError) as excinfo:
+            tokenize(text)
+        assert str(excinfo.value) == (
+            f"unexpected character {char!r} (line 1, column {column})")
+
+    def test_reaches_a_client_as_a_parse_error(self):
+        from repro.sqlengine import SqlServer, connect
+
+        conn = connect(SqlServer(default_database="db"), user="u",
+                       database="db")
+        with pytest.raises(SqlParseError):
+            conn.execute("select ²")
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        assert values("٣ ١.٥") == [3, 1.5]
+
+    def test_inside_an_identifier_is_kept(self):
+        assert values("x²") == ["x²"]
+
+
+class TestPositionsAfterNewlines:
+    def test_bracket_identifier_spanning_lines(self):
+        tokens = tokenize("[a\nb] x")
+        assert tokens[0].value == "a\nb"
+        assert (tokens[1].line, tokens[1].column) == (2, 4)
+
+    def test_string_spanning_lines(self):
+        tokens = tokenize("'a\nbc' x")
+        assert (tokens[1].line, tokens[1].column) == (2, 5)
+
+    def test_doubled_quote_never_ends_a_string(self):
+        with pytest.raises(SqlParseError) as excinfo:
+            tokenize("x 'a'' b")
+        assert "unterminated string literal (line 1, column 3)" in str(
+            excinfo.value)

@@ -6,20 +6,24 @@ on each: everything off (the baseline), everything on (stats + trace +
 provenance, with a telemetry exporter attached), the health plane alone
 (stats + accounting + the slow-op recorder armed at 0 ms, its worst
 case: every command is captured) and tracing alone (what a sampled
-command pays under ``trace next``).  Each observed stack's reading must
-stay under ``MAX_RATIO`` (1.35) times the baseline's — catching any
-change that moves real work onto the instrumented hot path.  The
-observability and health-plane stacks read about 1.27x since the SQL
-engine reports only through the accounting frame, which the agent folds
-into three counters per command; they read about 1.43x while the engine
-fed the registry on every statement, so that cost coming back fails.
+command pays under ``trace next``).  Each observed stack's ratio to the
+baseline must stay under ``MAX_RATIO`` (1.35), catching any change that
+moves real work onto the instrumented hot path.  The observability and
+health-plane stacks read about 1.3x since the SQL engine reports only
+through the accounting frame, which the agent folds into three counters
+per command; they read about 1.43x while the engine fed the registry on
+every statement, so that cost coming back fails.
 
-The stacks run round-robin, ``ROUNDS`` blocks of ``BLOCK`` inserts each,
-with the starting stack rotating every round, and a stack's reading is
-its fastest block mean (the perf ledger's fastest-of-k reading).  Some
-hosts flip between speed modes about 1.5x apart for stretches of
-seconds; timed one series after another, a flip lands on one stack and
-moves its ratio by more than the margin the gate has.
+The stacks run round-robin, ``ROUNDS`` rounds of one ``BLOCK``-insert
+block each, with the starting stack rotating every round.  A stack's
+ratio is the median, over the rounds, of its block mean divided by the
+baseline's block mean from the same round.  Some hosts flip between
+speed modes about 1.5x apart for stretches of seconds.  A round's four
+blocks run within milliseconds of each other, so a flip scales both
+sides of that round's ratio, and the median discards the rounds a flip
+cuts through; a ratio of two readings taken at different times, such as
+each stack's fastest block, can compare two modes and move by more than
+the margin the gate has.
 
 Two functional checks ride along: on the health-plane stack, the gateway
 histogram's pass-through p50 must agree with the wall-clock p50 within
@@ -54,9 +58,9 @@ from repro.obs import TelemetryExporter, bucket_bounds  # noqa: E402
 INSERT = "insert stock values ('X', 1.0, 1)"
 TELEMETRY_PATH = REPO_ROOT / "BENCH_telemetry.jsonl"
 
-#: Ceiling for an observed stack's reading over the baseline's.
+#: Ceiling for an observed stack's ratio to the baseline.
 MAX_RATIO = 1.35
-ROUNDS = 20
+ROUNDS = 40
 BLOCK = 10
 
 
@@ -100,17 +104,20 @@ def measure(stacks: dict) -> dict[str, list[list[float]]]:
 def check(stacks: dict, blocks: dict) -> tuple[list[str], dict]:
     """Judge one measurement; returns (problems, artifact extras)."""
     problems = []
-    reading = {name: min(statistics.mean(block) for block in name_blocks)
-               for name, name_blocks in blocks.items()}
-    baseline = reading["baseline"]
+    means = {name: [statistics.mean(block) for block in name_blocks]
+             for name, name_blocks in blocks.items()}
+    reading = {name: statistics.median(values)
+               for name, values in means.items()}
     ratios = {}
     for name in list(stacks)[1:]:
-        ratios[name] = ratio = reading[name] / baseline
-        print(f"{name} overhead: {reading[name]:.4f}ms / {baseline:.4f}ms "
-              f"= {ratio:.2f}x (limit {MAX_RATIO:.2f}x)")
+        ratios[name] = ratio = statistics.median(
+            mean / base for mean, base in zip(means[name], means["baseline"]))
+        print(f"{name} overhead: median of {ROUNDS} same-round ratios "
+              f"{ratio:.2f}x (limit {MAX_RATIO:.2f}x; median block "
+              f"{reading[name]:.4f}ms / {reading['baseline']:.4f}ms)")
         if ratio > MAX_RATIO:
             problems.append(
-                f"{name} reading is {ratio:.2f}x the baseline, over the "
+                f"{name} ratio is {ratio:.2f}x the baseline, over the "
                 f"{MAX_RATIO:.2f}x limit")
 
     health_agent, _conn = stacks["health plane"]
