@@ -10,22 +10,21 @@ In the paper a new Open Server thread is spawned per action; here the
 coupling), while the default synchronous path runs the action inline —
 which is exactly what IMMEDIATE coupling means.
 
-Concurrency: actions whose parameter contexts touch disjoint snapshot
-tables run fully in parallel (the engine's lock manager arbitrates the
-data below); actions sharing a snapshot table are serialized here, by
-sorted per-table locks, because their ``sysContext`` refresh +
-context-processing join is a multi-batch read-modify-write over shared
-rows.  Actions sharing an execution session (same database and owner)
-additionally serialize on that session — engine sessions hold
-per-session state (``@@rowcount``, transaction log) and are not
-reentrant.
+Concurrency: each action is one engine batch on a session of its own —
+opened with the trigger owner's identity, so unqualified names in the
+action SQL resolve as they would for that user, and closed when the
+batch ends.  The batch ends in ``execute <proc>``, which the engine's
+lock manager always runs under its exclusive gate, so actions are
+serialized against each other and against every client batch there;
+the handler holds no locks of its own.  Closing the session is the
+client-disconnect path: an action that leaves a transaction open is
+rolled back and stops pinning the engine.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.faults import POINT_ACTION_RUN
@@ -78,44 +77,6 @@ class ActionHandler:
         self._m_action_seconds = agent.metrics.histogram(
             "agent_action_seconds",
             "Rule action execution latency (seconds)")
-        #: action execution sessions, one per (database, user): actions run
-        #: with the *trigger owner's* identity so unqualified names in the
-        #: user's action SQL resolve as they would for that user.  Each
-        #: session carries a lock: concurrent actions sharing an identity
-        #: must not interleave on one engine session.
-        self._sessions: dict[tuple[str, str], tuple[object, threading.RLock]] = {}
-        #: serialization locks for actions touching the same snapshot
-        #: table (sysContext refresh is a read-modify-write across batches)
-        self._table_locks: dict[str, threading.Lock] = {}
-
-    def _session_for(self, database: str, user: str):
-        """The (engine session, session lock) pair for one identity."""
-        key = (database.lower(), user.lower())
-        with self._lock:
-            entry = self._sessions.get(key)
-            if entry is None:
-                entry = (self.agent.server.create_session(user, database),
-                         threading.RLock())
-                self._sessions[key] = entry
-        return entry
-
-    def _serialization_locks(self, runtime: "TriggerRuntime") -> list:
-        """Sorted per-table locks covering the action's snapshot tables.
-
-        Sorting gives a global acquisition order, so two actions with
-        overlapping table sets cannot deadlock; disjoint actions share no
-        locks and run concurrently.
-        """
-        names = sorted({t.lower() for t in runtime.snapshot_tables})
-        locks = []
-        with self._lock:
-            for name in names:
-                lock = self._table_locks.get(name)
-                if lock is None:
-                    lock = threading.Lock()
-                    self._table_locks[name] = lock
-                locks.append(lock)
-        return locks
 
     # ------------------------------------------------------------------
     # LED integration
@@ -245,8 +206,8 @@ class ActionHandler:
         return record
 
     def _execute(self, runtime: TriggerRuntime, record: ActionRecord) -> None:
-        """Refresh ``sysContext``, run the procedure under the handler's
-        locks, and route its output (fills in ``record``)."""
+        """Refresh ``sysContext`` and run the procedure as one batch on a
+        fresh session, and route its output (fills in ``record``)."""
         trigger = runtime.definition
         statements: list[str] = []
         params: dict[str, object] = {}
@@ -260,31 +221,18 @@ class ActionHandler:
             )
             statements.extend(refresh)
         statements.append(f"execute {record.proc_name}")
-        script = "\n".join(statements)
-        # An IMMEDIATE action runs nested inside the client's engine
-        # batch, which holds the exclusive gate: it is already serialized
-        # against every other action and must not block on handler locks
-        # (a lock held by an action waiting for the gate would deadlock).
-        # It gets a throwaway session for the same reason — the cached
-        # identity session might be mid-script on another thread.
-        if self.agent.server.lock_manager.in_batch():
-            session = self.agent.server.create_session(
-                trigger.user_name, trigger.db_name)
-            locks: list = []
-        else:
-            session, session_lock = self._session_for(
-                trigger.db_name, trigger.user_name)
-            locks = [session_lock]
-            locks.extend(self._serialization_locks(runtime))
-        with ExitStack() as stack:
-            for lock in locks:
-                stack.enter_context(lock)
+        server = self.agent.server
+        session = server.create_session(trigger.user_name, trigger.db_name)
+        try:
             with self.agent.events.span(FIG4_ACTION_RUN, trigger.internal):
-                result = self.agent.server.execute(
-                    script, session, params=params)
+                result = server.execute(
+                    "\n".join(statements), session, params=params)
                 # Figure 16: results flow back to the client through
                 # the gateway (routing is part of the action span).
                 self._finish(record, result)
+        finally:
+            # rolls back a transaction the action left open
+            session.closed = True
 
     def _finish(self, record: ActionRecord, result) -> None:
         record.messages = list(result.messages)

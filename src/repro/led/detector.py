@@ -457,32 +457,7 @@ class LocalEventDetector:
         (immediate actions run; deferred/detached are recorded as firings
         when they are later executed, not here).
         """
-        metrics = self.metrics
-        timed = (metrics is not None and metrics.enabled
-                 and self._m_lock_wait is not None)
-        acquired = 0.0
-        if timed:
-            wait_start = _time.perf_counter()
-        self._lock.acquire()
-        if timed:
-            acquired = _time.perf_counter()
-            self._m_lock_wait.observe(acquired - wait_start)
-        try:
-            outer = self._current_firings is None
-            if outer:
-                self._current_firings = []
-            try:
-                self._raise_locked(name, params, at)
-                return list(self._current_firings or [])
-            finally:
-                if outer:
-                    self._current_firings = None
-        finally:
-            if timed:
-                end = _time.perf_counter()
-                self._m_lock_hold.observe(end - acquired)
-                self._m_raise_seconds.observe(end - wait_start)
-            self._lock.release()
+        return self._raise_scoped(((name, params),), at)
 
     def raise_events(self, batch) -> list[RuleFiring]:
         """Raise several primitive occurrences under one lock acquisition.
@@ -494,6 +469,11 @@ class LocalEventDetector:
         path a coalesced multi-event notification takes.  Returns the
         combined synchronous firings, in raise order.
         """
+        return self._raise_scoped(batch, None)
+
+    def _raise_scoped(self, batch, at: float | None) -> list[RuleFiring]:
+        """Raise ``(name, params)`` pairs under the lock (timed when
+        metrics are on) inside one firing scope; returns its firings."""
         metrics = self.metrics
         timed = (metrics is not None and metrics.enabled
                  and self._m_lock_wait is not None)
@@ -510,7 +490,7 @@ class LocalEventDetector:
                 self._current_firings = []
             try:
                 for name, params in batch:
-                    self._raise_locked(name, params, None)
+                    self._raise_locked(name, params, at)
                 return list(self._current_firings or [])
             finally:
                 if outer:

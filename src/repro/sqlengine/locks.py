@@ -406,16 +406,6 @@ class EngineLockManager:
     def _depth(self) -> int:
         return getattr(self._local, "depth", 0)
 
-    def in_batch(self) -> bool:
-        """True while the calling thread is inside a batch scope.
-
-        The agent's action handler uses this to recognize IMMEDIATE
-        actions running nested inside an (exclusive) engine batch: those
-        are already fully serialized by the gate and must not take any
-        further lock — blocking inside the gate invites deadlock.
-        """
-        return self._depth() > 0
-
     @contextmanager
     def batch_scope(self, statements, session):
         """Hold the right locks for one batch of ``session``.

@@ -485,6 +485,42 @@ class TestAbandonedTransactions:
             "select count(*) from aband_c").last.scalar() == 1
         probe.close()
 
+    #: rule definitions whose action runs on a session of its own; the
+    #: inline IMMEDIATE primitive action is absent on purpose — it runs
+    #: inside the client's session, as a native trigger body does
+    ACTION_RULES = {
+        "immediate-composite": (
+            "create trigger t2 on stock for update event e2 as print '2'",
+            "create trigger ta event c = e1 SEQ e2 as "),
+        "deferred": ("create trigger ta event e1 DEFERRED as ",),
+        "detached": ("create trigger ta event e1 DETACHED as ",),
+    }
+
+    @pytest.mark.parametrize("coupling", sorted(ACTION_RULES))
+    def test_action_left_open_transaction_is_rolled_back(
+            self, astock, agent, coupling):
+        astock.execute("create table audit (x int null)")
+        astock.execute(
+            "create trigger t1 on stock for insert event e1 as print '1'")
+        *setup, action = self.ACTION_RULES[coupling]
+        for sql in setup:
+            astock.execute(sql)
+        astock.execute(action + "begin tran insert audit values (1)")
+        astock.execute("insert stock values ('A', 1, 1)")
+        if coupling == "immediate-composite":
+            astock.execute("update stock set price = 2")
+        agent.action_handler.join_detached()
+        assert [r.error for r in agent.action_handler.action_log
+                if r.trigger_internal.endswith("ta")] == [None]
+        lock_manager = agent.server.lock_manager
+        # no orphaned action session pins the engine to the exclusive gate
+        assert lock_manager.transaction_sessions() == set()
+        before = lock_manager.shared_batches
+        # the action's open insert was rolled back as on a disconnect
+        assert astock.execute(
+            "select count(*) from audit").last.scalar() == 0
+        assert lock_manager.shared_batches == before + 1
+
 
 class TestAdminSurface:
     def test_show_agent_sessions_rows(self):
