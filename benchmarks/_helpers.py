@@ -82,21 +82,6 @@ def measure_ms(fn, n: int, *args) -> list[float]:
     return samples
 
 
-def latency_row(label: str, samples_ms: list[float]) -> tuple:
-    """(label, mean, median, p95, p99, max) row — all in milliseconds.
-
-    Reuses the observability layer's histogram summary so benches and
-    ``show agent stats`` report identical statistics.
-    """
-    s = summarize(samples_ms)
-    return (label, f"{s.mean:.3f}", f"{s.p50:.3f}", f"{s.p95:.3f}",
-            f"{s.p99:.3f}", f"{s.max:.3f}")
-
-
-LATENCY_HEADERS = ("series", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-                   "max_ms")
-
-
 def write_bench_json(name: str, series: dict[str, list[float]],
                      extra: dict | None = None) -> str:
     """Write ``BENCH_<name>.json`` capturing full latency summaries

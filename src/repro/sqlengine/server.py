@@ -116,8 +116,6 @@ class SqlServer:
         #: engine-wide exclusive gate (see repro.sqlengine.locks)
         self.lock_manager = EngineLockManager(self)
         self._tx_end_listeners: list[Callable[[Session, bool], None]] = []
-        #: count of batches executed, for the overhead benches
-        self.batches_executed = 0
         #: parsed-batch cache; epoch-checked against catalog.schema_epoch
         self.plan_cache = PlanCache()
         #: count of index-backed scan narrowings (eq/IN/join probes)
@@ -240,7 +238,6 @@ class SqlServer:
         for batch_text in split_batches(sql):
             statements = self._parse_cached(batch_text)
             with self.lock_manager.batch_scope(statements, session):
-                self.batches_executed += 1
                 self.executor.execute_batch(
                     statements, session, result,
                     variables=dict(params) if params else None)

@@ -77,6 +77,45 @@ class TestDeferred:
         assert names == ["ta", "tb"]
 
 
+class TestDeferredAcrossSessions:
+    """A DEFERRED firing belongs to the transaction that raised it.
+
+    The LED keeps one queue for every session, so another session's
+    statement end flushes or discards it.  Each case pins that fault
+    and flips to a pass once firings are tagged with their session.
+    """
+
+    @pytest.fixture
+    def sessions(self, astock, agent):
+        astock.execute("create table other (id int null)")
+        astock.execute(
+            "create trigger t1 on stock for insert event e1 DEFERRED as "
+            "print 'deferred fired'")
+        return astock, agent.connect(user="sharma", database="sentineldb")
+
+    @pytest.mark.xfail(strict=True, reason="one deferred queue for every "
+                       "session: B's autocommit statement flushes A's firing")
+    def test_other_sessions_statement_does_not_flush(self, sessions, agent):
+        a, b = sessions
+        a.execute("begin tran")
+        a.execute("insert stock values ('A', 1, 1)")
+        result = b.execute("select count(*) from other")
+        assert "deferred fired" not in result.messages
+        assert agent.action_handler.action_log == []
+        a.execute("rollback")
+        assert agent.action_handler.action_log == []
+
+    @pytest.mark.xfail(strict=True, reason="one deferred queue for every "
+                       "session: B's rollback discards A's firing")
+    def test_other_sessions_rollback_does_not_discard(self, sessions, agent):
+        a, b = sessions
+        a.execute("begin tran")
+        a.execute("insert stock values ('A', 1, 1)")
+        b.execute("begin tran insert other values (1) rollback")
+        a.execute("commit")
+        assert len(agent.action_handler.action_log) == 1
+
+
 class TestDetached:
     def test_runs_on_worker_thread(self, astock, agent):
         astock.execute(
